@@ -23,7 +23,7 @@ use std::time::Instant;
 use bench::micro_targets;
 use criterion::{take_measurements, Criterion, Measurement};
 use experiments::lock_leakage;
-use experiments::sweep::{self, SweepOptions, SweepOutput};
+use experiments::sweep::{self, SweepOutput};
 use experiments::Scale;
 
 fn main() {
@@ -42,11 +42,11 @@ fn main() {
     micro_targets::bench_swapin_batch(&mut c);
     let micro = take_measurements();
 
-    // End-to-end: every quick-scale scenario, uncached and serial — the
-    // `paper_tables --quick --no-cache` cells, except that the overload
-    // matrix runs at its shrunk bench-tier horizon (schema v3).
+    // End-to-end: every quick-scale scenario, serial — the
+    // `paper_tables --quick` cells, except that the overload matrix
+    // runs at its shrunk bench-tier horizon (schema v3).
     let start = Instant::now();
-    let outputs = sweep::run_pool(&sweep::bench_scenarios(Scale::Quick), &SweepOptions::new());
+    let outputs = sweep::run_pool(&sweep::bench_scenarios(Scale::Quick), 1);
     let total_s = start.elapsed().as_secs_f64();
     let cells: usize = outputs.iter().map(|o| o.stats.len()).sum();
     eprintln!("end_to_end/quick_sweep: {total_s:.3} s wall ({cells} cells)");

@@ -4,7 +4,7 @@
 //! The paper's SPUs form a flat partition of the machine, but its own
 //! motivating scenario (server consolidation, §1) is naturally nested: a
 //! *tenant* owns an entitlement and subdivides it among *services*. The
-//! [`SpuTree`] overlays that nesting on the existing flat [`SpuSet`]:
+//! [`SpuTree`] overlays that nesting on the existing flat [`SpuSet`](crate::SpuSet):
 //!
 //! * **Leaves stay authoritative.** Every service is an ordinary user
 //!   SPU whose weight lives in the `SpuSet` exactly as before; all flat
@@ -189,20 +189,6 @@ impl SpuTree {
     }
 }
 
-impl event_sim::Fingerprint for SpuTree {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_usize(self.tenants.len());
-        for t in &self.tenants {
-            h.write_str(&t.name);
-            h.write_u32(t.ceiling);
-            h.write_usize(t.leaves.len());
-            for &l in &t.leaves {
-                h.write_u32(l);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,25 +236,6 @@ mod tests {
         assert_eq!(t.oversubscribed(&[2, 2, 2, 1, 1]), Some((1, 3, 4)));
         // Undersubscription (headroom) is allowed.
         assert_eq!(t.oversubscribed(&[1, 1, 1, 1, 1]), None);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_trees() {
-        use event_sim::{Fingerprint, Fnv64};
-        let hash = |tree: &SpuTree| {
-            let mut h = Fnv64::new();
-            tree.fingerprint(&mut h);
-            h.finish()
-        };
-        let a = two_tenants();
-        let b = SpuTree::new(vec![
-            ("alpha".into(), 5, vec![0, 1]),
-            ("beta".into(), 3, vec![2, 3, 4]),
-        ]);
-        let c = SpuTree::new(vec![("alpha".into(), 4, vec![0, 1, 2, 3, 4])]);
-        assert_ne!(hash(&a), hash(&b), "ceiling must hash");
-        assert_ne!(hash(&a), hash(&c), "shape must hash");
-        assert_eq!(hash(&a), hash(&two_tenants()));
     }
 
     #[test]

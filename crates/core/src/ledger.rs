@@ -272,7 +272,7 @@ impl LedgerShard {
 ///
 /// [`fold`](Self::fold) re-verifies conservation exactly: the per-CPU
 /// shard deltas must sum to the per-SPU pending totals, and applying
-/// them must reproduce the exact view. The [`LedgerAuditor`]
+/// them must reproduce the exact view. The [`LedgerAuditor`](crate::LedgerAuditor)
 /// (crate::audit) then audits the folded global ledger, so the paper's
 /// conservation invariant holds bit-for-bit at every audit point.
 ///

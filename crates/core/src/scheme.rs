@@ -80,12 +80,6 @@ impl fmt::Display for Scheme {
     }
 }
 
-impl event_sim::Fingerprint for Scheme {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(self.label());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

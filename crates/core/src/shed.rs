@@ -73,12 +73,6 @@ impl fmt::Display for ShedPolicy {
     }
 }
 
-impl event_sim::Fingerprint for ShedPolicy {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(self.name());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,7 +155,7 @@ impl SpuSet {
         }
     }
 
-    /// Attaches a tenant hierarchy (see [`SpuTree`]). The leaf SPUs
+    /// Attaches a tenant hierarchy (see [`SpuTree`](crate::SpuTree)). The leaf SPUs
     /// keep their flat weights; the tree adds tenant scoping for
     /// lending, revocation, brown-out and the subtree audit.
     ///
@@ -397,35 +397,6 @@ impl SpuSet {
     }
 }
 
-impl event_sim::Fingerprint for SpuSet {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_usize(self.weights.len());
-        for &w in &self.weights {
-            h.write_u32(w);
-        }
-        for opt in [&self.mem_weights, &self.disk_weights] {
-            match opt {
-                Some(ws) => {
-                    h.write_bool(true);
-                    for &w in ws {
-                        h.write_u32(w);
-                    }
-                }
-                None => h.write_bool(false),
-            }
-        }
-        for name in &self.names {
-            h.write_str(name);
-        }
-        // Hashed only when present so flat sets keep their pre-tree
-        // digests — the depth-1 bit-compatibility guarantee.
-        if let Some(tree) = &self.tree {
-            h.write_str("tree");
-            tree.fingerprint(h);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,23 +574,6 @@ mod tests {
         assert!(!s.same_tenant(SpuId::user(0), SpuId::user(1)));
         assert_eq!(s.tenant_weight(0), 0);
         assert_eq!(s.path(SpuId::user(1)), "user1");
-    }
-
-    #[test]
-    fn tree_attachment_preserves_flat_fingerprint_when_absent() {
-        use event_sim::{Fingerprint, Fnv64};
-        let hash = |s: &SpuSet| {
-            let mut h = Fnv64::new();
-            s.fingerprint(&mut h);
-            h.finish()
-        };
-        let flat = SpuSet::with_weights(&[1, 1, 2])
-            .named(0, "web")
-            .named(1, "worker")
-            .named(2, "db");
-        // Attaching a tree changes the digest; the flat set's digest is
-        // computed from exactly the pre-hierarchy field writes.
-        assert_ne!(hash(&flat), hash(&tenanted()));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use spu_core::{BandwidthTracker, SpuId};
 
 use crate::model::{DiskModel, ServiceBreakdown};
 use crate::request::{DiskRequest, RequestId};
-use crate::sched::{pick_next, Pending, SchedulerKind};
+use crate::sched::{pick_next, Fairness, Pending, SchedulerKind};
 use crate::stats::DiskStats;
 
 /// Notice that the in-flight request will finish at `at`; the kernel
@@ -293,8 +293,10 @@ impl DiskDevice {
             &self.queue,
             &self.model,
             self.head_cyl,
-            &mut self.bw,
-            self.bw_threshold,
+            Fairness {
+                tracker: &mut self.bw,
+                threshold: self.bw_threshold,
+            },
             now,
             &mut self.pick_scratch,
         )?;

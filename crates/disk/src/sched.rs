@@ -48,12 +48,6 @@ impl SchedulerKind {
     ];
 }
 
-impl event_sim::Fingerprint for SchedulerKind {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(self.label());
-    }
-}
-
 /// A queued request with its submission order (for FIFO tie-breaks).
 #[derive(Clone, Debug)]
 pub(crate) struct Pending {
@@ -62,20 +56,29 @@ pub(crate) struct Pending {
     pub(crate) req: DiskRequest,
 }
 
+/// The bandwidth-fairness state a pick consults.
+pub(crate) struct Fairness<'a> {
+    /// Per-SPU decayed bandwidth usage.
+    pub(crate) tracker: &'a mut BandwidthTracker,
+    /// The BW-difference threshold of §3.3 in sectors.
+    pub(crate) threshold: f64,
+}
+
 /// Picks the index of the next request to service, or `None` if the queue
 /// is empty.
-///
-/// `bw_threshold` is the BW-difference threshold of §3.3 in sectors.
 pub(crate) fn pick_next(
     kind: SchedulerKind,
     queue: &[Pending],
     model: &DiskModel,
     head_cyl: u32,
-    bw: &mut BandwidthTracker,
-    bw_threshold: f64,
+    fairness: Fairness<'_>,
     now: SimTime,
     pass: &mut Vec<bool>,
 ) -> Option<usize> {
+    let Fairness {
+        tracker: bw,
+        threshold: bw_threshold,
+    } = fairness;
     if queue.is_empty() {
         return None;
     }
@@ -190,6 +193,13 @@ mod tests {
         BandwidthTracker::new(4, SimDuration::from_millis(500))
     }
 
+    fn fair(tracker: &mut BandwidthTracker) -> Fairness<'_> {
+        Fairness {
+            tracker,
+            threshold: 64.0,
+        }
+    }
+
     fn track_of(_model: &DiskModel, cyl: u32) -> u64 {
         cyl as u64 * 19 * 72
     }
@@ -210,8 +220,7 @@ mod tests {
                 q,
                 &model,
                 head,
-                bw,
-                64.0,
+                fair(bw),
                 SimTime::ZERO,
                 &mut Vec::new(),
             )
@@ -235,8 +244,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         )
@@ -258,8 +266,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         )
@@ -282,8 +289,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         )
@@ -304,8 +310,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         );
@@ -325,8 +330,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         )
@@ -342,8 +346,7 @@ mod tests {
             &queue,
             &model,
             0,
-            &mut bw,
-            64.0,
+            fair(&mut bw),
             SimTime::ZERO,
             &mut Vec::new(),
         );
@@ -361,8 +364,7 @@ mod tests {
                     &[],
                     &model,
                     0,
-                    &mut bw,
-                    64.0,
+                    fair(&mut bw),
                     SimTime::ZERO,
                     &mut Vec::new()
                 ),

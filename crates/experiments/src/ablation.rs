@@ -25,7 +25,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::PmakeConfig;
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// Result of the §3.4 lock ablation.
@@ -639,16 +639,6 @@ impl Scenario for AblationScenario {
         }
     }
 
-    fn cell_fingerprint(&self, cell: &AblationCell) -> u64 {
-        let (k, cap) = match *cell {
-            AblationCell::Lock { rw } => (boot_lock(rw, self.scale), 600),
-            AblationCell::Ipi { ipi } => (boot_ipi(ipi, self.scale), 300),
-            AblationCell::Reserve { frac } => (boot_reserve(frac, self.scale), 1200),
-            AblationCell::Bw { threshold } => (boot_bw(threshold, self.scale), 600),
-        };
-        sweep::kernel_cell_fingerprint(&k, SimTime::from_secs(cap), "ablation-v1")
-    }
-
     fn run_cell(&self, cell: &AblationCell) -> Value {
         match *cell {
             AblationCell::Lock { rw } => {
@@ -733,7 +723,7 @@ impl Scenario for AblationScenario {
 }
 
 fn run_via_sweep(scenario: &AblationScenario) -> AblationReport {
-    sweep::run_scenario(scenario, &SweepOptions::new()).report
+    sweep::run_scenario(scenario, 1).report
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //!   consolidation host: one SPU per tenant (weights 2:2), services
 //!   mixed inside their tenant's domain.
 //! * [`Layout::HierPIso`] — the hierarchy: one leaf SPU per service
-//!   under per-tenant ceilings ([`SpuTree`]), sibling-first lending and
-//!   tenant-aware revocation in force.
+//!   under per-tenant ceilings ([`SpuTree`](spu_core::SpuTree)),
+//!   sibling-first lending and tenant-aware revocation in force.
 //!
 //! The antagonist is an open-loop stream of fork-bursts (fresh
 //! processes start at the best priority band, so decay-usage scheduling
@@ -41,7 +41,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::ServiceConfig;
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// Victim response-time target (also every request's deadline).
@@ -113,7 +113,7 @@ impl Layout {
     /// All layouts in presentation order.
     pub const ALL: [Layout; 3] = [Layout::Smp, Layout::FlatPIso, Layout::HierPIso];
 
-    /// Short label for tables and cache keys.
+    /// Short label for tables and cell keys.
     pub fn label(self) -> &'static str {
         match self {
             Layout::Smp => "SMP",
@@ -426,26 +426,6 @@ impl sweep::Outcome for ConsolidationRow {
             Value::B(self.completed),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 9 {
-            return None;
-        }
-        let label = l[0].as_str()?;
-        let layout = Layout::ALL.iter().copied().find(|c| c.label() == label)?;
-        Some(ConsolidationRow {
-            layout,
-            load_tenths: l[1].as_u64()? as u32,
-            vic_p99_s: l[2].as_f64()?,
-            vic_violated: l[3].as_u64()?,
-            vic_jobs: l[4].as_u64()?,
-            vic2_p99_s: l[5].as_f64()?,
-            vic2_violated: l[6].as_u64()?,
-            vic2_jobs: l[7].as_u64()?,
-            completed: l[8].as_bool()?,
-        })
-    }
 }
 
 impl Render for ConsolidationResult {
@@ -500,14 +480,6 @@ impl Scenario for ConsolidationScenario {
         format!("{}-{}", layout.label().to_lowercase(), load_label(load))
     }
 
-    fn cell_fingerprint(&self, &(layout, load): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(layout, load, self.scale, self.cpus),
-            CAP,
-            "consolidation-v1",
-        )
-    }
-
     fn run_cell(&self, &(layout, load): &Self::Cell) -> ConsolidationRow {
         run_one_at(layout, load, self.scale, self.cpus)
     }
@@ -519,16 +491,12 @@ impl Scenario for ConsolidationScenario {
 
 /// Runs the full matrix: every layout × load factor.
 pub fn run(scale: Scale) -> ConsolidationResult {
-    sweep::run_scenario(&ConsolidationScenario::seed(scale), &SweepOptions::new()).report
+    sweep::run_scenario(&ConsolidationScenario::seed(scale), 1).report
 }
 
 /// Runs the full matrix on a machine with `cpus` CPUs.
 pub fn run_at(scale: Scale, cpus: usize) -> ConsolidationResult {
-    sweep::run_scenario(
-        &ConsolidationScenario::at(scale, cpus),
-        &SweepOptions::new(),
-    )
-    .report
+    sweep::run_scenario(&ConsolidationScenario::at(scale, cpus), 1).report
 }
 
 /// One fully instrumented run of the headline cell (hierarchical, 4.0×):
@@ -660,23 +628,14 @@ mod tests {
     }
 
     #[test]
-    fn layouts_do_not_share_cache_entries() {
+    fn cell_keys_are_unique_and_scaled_machine_is_named_apart() {
         let s = ConsolidationScenario::seed(Scale::Quick);
         let keys: Vec<String> = s.cells().iter().map(|c| s.cell_key(c)).collect();
         let mut dedup = keys.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(keys.len(), dedup.len(), "cell keys must be unique");
-        let fp = |c| s.cell_fingerprint(&c);
-        assert_ne!(fp((Layout::HierPIso, 40)), fp((Layout::FlatPIso, 40)));
-        assert_ne!(fp((Layout::HierPIso, 40)), fp((Layout::Smp, 40)));
-        assert_ne!(fp((Layout::HierPIso, 40)), fp((Layout::HierPIso, 10)));
         let large = ConsolidationScenario::at(Scale::Quick, 128);
         assert_eq!(large.name(), "consolidation-large");
-        assert_ne!(
-            fp((Layout::HierPIso, 40)),
-            large.cell_fingerprint(&(Layout::HierPIso, 40)),
-            "different machine sizes must not share cache entries"
-        );
     }
 }

@@ -17,7 +17,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::{flashlite_with, vcs_with, OceanConfig};
 
 use crate::report::{bar_label, norm, render_table};
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// Per-application mean response times (seconds) for one scheme.
@@ -155,18 +155,6 @@ impl sweep::Outcome for AppResponses {
             Value::F(self.vcs),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 3 {
-            return None;
-        }
-        Some(AppResponses {
-            ocean: l[0].as_f64()?,
-            flashlite: l[1].as_f64()?,
-            vcs: l[2].as_f64()?,
-        })
-    }
 }
 
 impl Render for CpuIsoResult {
@@ -198,14 +186,6 @@ impl Scenario for CpuIsoScenario {
         scheme.label().to_lowercase()
     }
 
-    fn cell_fingerprint(&self, &scheme: &Scheme) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, self.scale),
-            SimTime::from_secs(300),
-            "cpu-iso-v1",
-        )
-    }
-
     fn run_cell(&self, &scheme: &Scheme) -> AppResponses {
         run_one(scheme, self.scale)
     }
@@ -221,7 +201,7 @@ impl Scenario for CpuIsoScenario {
 
 /// Runs the experiment under all three schemes.
 pub fn run(scale: Scale) -> CpuIsoResult {
-    sweep::run_scenario(&CpuIsoScenario { scale }, &SweepOptions::new()).report
+    sweep::run_scenario(&CpuIsoScenario { scale }, 1).report
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::{copy_job, PmakeConfig};
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// One row of Table 3 / Table 4.
@@ -200,26 +200,6 @@ impl sweep::Outcome for DiskRow {
             Value::F(self.avg_seek_ms),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 6 {
-            return None;
-        }
-        let label = l[0].as_str()?;
-        let policy = SchedulerKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.label() == label)?;
-        Some(DiskRow {
-            policy,
-            job_a_response: l[1].as_f64()?,
-            job_b_response: l[2].as_f64()?,
-            job_a_wait_ms: l[3].as_f64()?,
-            job_b_wait_ms: l[4].as_f64()?,
-            avg_seek_ms: l[5].as_f64()?,
-        })
-    }
 }
 
 /// Which §4.5 workload a cell drives.
@@ -322,14 +302,6 @@ impl Scenario for DiskBwScenario {
         format!("{}-{}", workload.key(), policy.label().to_lowercase())
     }
 
-    fn cell_fingerprint(&self, &(workload, policy): &Self::Cell) -> u64 {
-        let k = match workload {
-            DiskWorkload::PmakeCopy => boot_pmake_copy(policy, self.scale),
-            DiskWorkload::BigSmall => boot_big_small(policy, self.scale),
-        };
-        sweep::kernel_cell_fingerprint(&k, SimTime::from_secs(600), "disk-bw-v1")
-    }
-
     fn run_cell(&self, &(workload, policy): &Self::Cell) -> DiskRow {
         match workload {
             DiskWorkload::PmakeCopy => run_pmake_copy(policy, self.scale),
@@ -361,7 +333,7 @@ impl Scenario for DiskBwScenario {
 /// Table 3 across all three policies.
 pub fn table3(scale: Scale) -> DiskTable {
     let scenario = DiskBwScenario::single(DiskWorkload::PmakeCopy, scale);
-    sweep::run_scenario(&scenario, &SweepOptions::new())
+    sweep::run_scenario(&scenario, 1)
         .report
         .tables
         .swap_remove(0)
@@ -370,7 +342,7 @@ pub fn table3(scale: Scale) -> DiskTable {
 /// Table 4 across all three policies.
 pub fn table4(scale: Scale) -> DiskTable {
     let scenario = DiskBwScenario::single(DiskWorkload::BigSmall, scale);
-    sweep::run_scenario(&scenario, &SweepOptions::new())
+    sweep::run_scenario(&scenario, 1)
         .report
         .tables
         .swap_remove(0)

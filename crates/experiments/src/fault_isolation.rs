@@ -20,7 +20,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 
 use crate::pmake8::InstrumentedRun;
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// The injected fault classes, [`FaultClass::None`] being the baseline.
@@ -333,35 +333,6 @@ impl sweep::Outcome for FaultRow {
             Value::B(self.completed),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 10 {
-            return None;
-        }
-        let scheme_label = l[0].as_str()?;
-        let scheme = Scheme::ALL
-            .iter()
-            .copied()
-            .find(|s| s.label() == scheme_label)?;
-        let fault_name = l[1].as_str()?;
-        let fault = FaultClass::ALL
-            .iter()
-            .copied()
-            .find(|f| f.name() == fault_name)?;
-        Some(FaultRow {
-            scheme,
-            fault,
-            fg_mean: l[2].as_f64()?,
-            fg_p95: l[3].as_f64()?,
-            bg_mean: l[4].as_f64()?,
-            audit_violations: l[5].as_u64()?,
-            io_retries: l[6].as_u64()?,
-            io_failures: l[7].as_u64()?,
-            kernel_errors: l[8].as_u64()?,
-            completed: l[9].as_bool()?,
-        })
-    }
 }
 
 impl Render for FaultIsolationResult {
@@ -397,14 +368,6 @@ impl Scenario for FaultIsolationScenario {
         format!("{}-{}", scheme.label().to_lowercase(), fault.name())
     }
 
-    fn cell_fingerprint(&self, &(scheme, fault): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, fault, self.scale),
-            SimTime::from_secs(600),
-            "fault-iso-v1",
-        )
-    }
-
     fn run_cell(&self, &(scheme, fault): &Self::Cell) -> FaultRow {
         run_one(scheme, fault, self.scale)
     }
@@ -416,7 +379,7 @@ impl Scenario for FaultIsolationScenario {
 
 /// Runs the full matrix: every scheme under every fault class.
 pub fn run(scale: Scale) -> FaultIsolationResult {
-    sweep::run_scenario(&FaultIsolationScenario { scale }, &SweepOptions::new()).report
+    sweep::run_scenario(&FaultIsolationScenario { scale }, 1).report
 }
 
 /// One instrumented PIso run under a seeded *random* fault plan:

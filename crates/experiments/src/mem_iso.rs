@@ -18,7 +18,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::PmakeConfig;
 
 use crate::report::{bar_label, norm, render_table, Percentiles};
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// Results of the memory-isolation experiment.
@@ -193,19 +193,6 @@ impl sweep::Outcome for MemIsoRun {
             Value::F(p99),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 6 {
-            return None;
-        }
-        Some(MemIsoRun {
-            spu1_mean: l[0].as_f64()?,
-            spu2_mean: l[1].as_f64()?,
-            spu2_major_faults: l[2].as_u64()?,
-            percentiles: (l[3].as_f64()?, l[4].as_f64()?, l[5].as_f64()?).into(),
-        })
-    }
 }
 
 impl Render for MemIsoResult {
@@ -245,14 +232,6 @@ impl Scenario for MemIsoScenario {
         )
     }
 
-    fn cell_fingerprint(&self, &(scheme, unbalanced): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, unbalanced, self.scale),
-            SimTime::from_secs(1200),
-            "mem-iso-v1",
-        )
-    }
-
     fn run_cell(&self, &(scheme, unbalanced): &Self::Cell) -> MemIsoRun {
         run_one(scheme, unbalanced, self.scale)
     }
@@ -279,7 +258,7 @@ impl Scenario for MemIsoScenario {
 
 /// Runs the experiment under all three schemes.
 pub fn run(scale: Scale) -> MemIsoResult {
-    sweep::run_scenario(&MemIsoScenario { scale }, &SweepOptions::new()).report
+    sweep::run_scenario(&MemIsoScenario { scale }, 1).report
 }
 
 #[cfg(test)]

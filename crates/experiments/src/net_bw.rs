@@ -14,7 +14,7 @@ use net_bw::{NetDevice, NicModel, Packet, PacketScheduler, TxDone};
 use spu_core::SpuId;
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// Results of the NIC-sharing experiment for one scheduler.
@@ -153,23 +153,6 @@ impl sweep::Outcome for NetRow {
             Value::F(self.bulk_finish_s),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 4 {
-            return None;
-        }
-        let label = l[0].as_str()?;
-        let scheduler = [PacketScheduler::Fcfs, PacketScheduler::Fair]
-            .into_iter()
-            .find(|s| s.label() == label)?;
-        Some(NetRow {
-            scheduler,
-            interactive_wait_ms: l[1].as_f64()?,
-            bulk_wait_ms: l[2].as_f64()?,
-            bulk_finish_s: l[3].as_f64()?,
-        })
-    }
 }
 
 impl Render for NetTable {
@@ -202,22 +185,6 @@ impl Scenario for NetBwScenario {
         scheduler.label().to_lowercase()
     }
 
-    fn cell_fingerprint(&self, scheduler: &PacketScheduler) -> u64 {
-        // No kernel here: hash the standalone simulation's inputs — the
-        // scheduler, the scale-dependent packet counts, and the fixed
-        // NIC model / traffic shape baked into `run_one` (covered by
-        // the version tag).
-        let (bulk_packets, interactive_packets) = match self.scale {
-            Scale::Full => (2000u32, 400u32),
-            Scale::Quick => (500, 100),
-        };
-        sweep::manual_cell_fingerprint("net-bw-v1", |h| {
-            h.write_str(scheduler.label());
-            h.write_u32(bulk_packets);
-            h.write_u32(interactive_packets);
-        })
-    }
-
     fn run_cell(&self, &scheduler: &PacketScheduler) -> NetRow {
         run_one(scheduler, self.scale)
     }
@@ -229,7 +196,7 @@ impl Scenario for NetBwScenario {
 
 /// Runs both schedulers.
 pub fn run(scale: Scale) -> NetTable {
-    sweep::run_scenario(&NetBwScenario { scale }, &SweepOptions::new()).report
+    sweep::run_scenario(&NetBwScenario { scale }, 1).report
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //! overload in every cell — 32× the traffic. The isolation and
 //! shedding results carry over; the seed's *metastable ignition* does
 //! not, because Poisson noise grows only as √rate (see
-//! [`boot`]'s scaling notes).
+//! `boot`'s scaling notes).
 
 use event_sim::{ArrivalProcess, SimDuration, SimTime};
 use smp_kernel::export::{json_escape, json_num};
@@ -46,7 +46,7 @@ use spu_core::{Scheme, ShedPolicy, SpuId, SpuSet};
 use workloads::ServiceConfig;
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 use crate::Scale;
 
 /// The victim's response-time target (also every request's deadline).
@@ -432,42 +432,6 @@ impl sweep::Outcome for OverloadRow {
             Value::B(self.completed),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 17 {
-            return None;
-        }
-        let scheme_label = l[0].as_str()?;
-        let scheme = Scheme::ALL
-            .iter()
-            .copied()
-            .find(|s| s.label() == scheme_label)?;
-        let policy_name = l[1].as_str()?;
-        let policy = ShedPolicy::ALL
-            .iter()
-            .copied()
-            .find(|p| p.name() == policy_name)?;
-        Some(OverloadRow {
-            scheme,
-            policy,
-            load_tenths: l[2].as_u64()? as u32,
-            vic_p99_s: l[3].as_f64()?,
-            vic_violated: l[4].as_u64()?,
-            vic_jobs: l[5].as_u64()?,
-            ant_goodput: l[6].as_f64()?,
-            ant_p99_s: l[7].as_f64()?,
-            ant_arrivals: l[8].as_u64()?,
-            ant_admitted: l[9].as_u64()?,
-            ant_shed: l[10].as_u64()?,
-            ant_expired: l[11].as_u64()?,
-            ant_timeouts: l[12].as_u64()?,
-            ant_retries: l[13].as_u64()?,
-            ant_peak_queue: l[14].as_u64()?,
-            brownout_skips: l[15].as_u64()?,
-            completed: l[16].as_bool()?,
-        })
-    }
 }
 
 impl Render for OverloadResult {
@@ -488,7 +452,7 @@ pub struct OverloadScenario {
     /// Machine size. [`SEED_CPUS`] reproduces the seed matrix exactly;
     /// larger values scale rates and admission caps linearly.
     pub cpus: usize,
-    /// When set, cells run at [`BENCH_HORIZON`] instead of the scale's
+    /// When set, cells run at `BENCH_HORIZON` (500 ms) instead of the scale's
     /// horizon (the core bench's shrunk matrix).
     pub bench_tier: bool,
 }
@@ -532,9 +496,9 @@ impl Scenario for OverloadScenario {
     type Report = OverloadResult;
 
     fn name(&self) -> &'static str {
-        // The seed matrix keeps its historical name (cache + artifact
-        // paths); scaled-up reruns and the bench-tier matrix get their
-        // own namespaces.
+        // The seed matrix keeps its historical name (the `scenario`
+        // field of the export and artifact paths); scaled-up reruns and
+        // the bench-tier matrix get their own namespaces.
         if self.bench_tier {
             "overload-bench"
         } else if self.cpus == SEED_CPUS {
@@ -564,14 +528,6 @@ impl Scenario for OverloadScenario {
         )
     }
 
-    fn cell_fingerprint(&self, &(scheme, policy, load): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, policy, load, self.cell_horizon(), self.cpus),
-            CAP,
-            "overload-v1",
-        )
-    }
-
     fn run_cell(&self, &(scheme, policy, load): &Self::Cell) -> OverloadRow {
         run_one_h(scheme, policy, load, self.cell_horizon(), self.cpus)
     }
@@ -583,12 +539,12 @@ impl Scenario for OverloadScenario {
 
 /// Runs the full matrix: every scheme × shed policy × load factor.
 pub fn run(scale: Scale) -> OverloadResult {
-    sweep::run_scenario(&OverloadScenario::seed(scale), &SweepOptions::new()).report
+    sweep::run_scenario(&OverloadScenario::seed(scale), 1).report
 }
 
 /// Runs the full matrix on a machine with `cpus` CPUs.
 pub fn run_at(scale: Scale, cpus: usize) -> OverloadResult {
-    sweep::run_scenario(&OverloadScenario::at(scale, cpus), &SweepOptions::new()).report
+    sweep::run_scenario(&OverloadScenario::at(scale, cpus), 1).report
 }
 
 /// One fully instrumented run of the headline cell (PIso,
@@ -733,17 +689,11 @@ mod tests {
     }
 
     #[test]
-    fn scaled_machine_changes_fingerprint_but_not_seed_cells() {
+    fn scaled_machine_is_a_separately_named_scenario() {
         let seed = OverloadScenario::seed(Scale::Quick);
         let large = OverloadScenario::at(Scale::Quick, 128);
         assert_eq!(seed.name(), "overload");
         assert_eq!(large.name(), "overload-large");
-        let cell = (Scheme::PIso, ShedPolicy::DeadlineAware, 25);
-        assert_ne!(
-            seed.cell_fingerprint(&cell),
-            large.cell_fingerprint(&cell),
-            "different machine sizes must not share cache entries"
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use spu_core::{Scheme, SpuId, SpuSet};
 use workloads::PmakeConfig;
 
 use crate::report::{bar_label, norm, render_table, Percentiles};
-use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
+use crate::sweep::{self, Render, Scenario, Value};
 
 /// Results of the Pmake8 experiment across all three schemes.
 #[derive(Clone, Debug)]
@@ -194,18 +194,6 @@ impl sweep::Outcome for Pmake8Run {
             Value::F(p99),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 5 {
-            return None;
-        }
-        Some(Pmake8Run {
-            light_mean: l[0].as_f64()?,
-            heavy_mean: l[1].as_f64()?,
-            percentiles: (l[2].as_f64()?, l[3].as_f64()?, l[4].as_f64()?).into(),
-        })
-    }
 }
 
 impl Render for Pmake8Result {
@@ -244,14 +232,6 @@ impl Scenario for Pmake8Scenario {
         )
     }
 
-    fn cell_fingerprint(&self, &(scheme, unbalanced): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, unbalanced, self.scale),
-            SimTime::from_secs(600),
-            "pmake8-v1",
-        )
-    }
-
     fn run_cell(&self, &(scheme, unbalanced): &Self::Cell) -> Pmake8Run {
         run_one(scheme, unbalanced, self.scale)
     }
@@ -277,7 +257,7 @@ impl Scenario for Pmake8Scenario {
 /// Runs the full experiment: both configurations under all three
 /// schemes.
 pub fn run(scale: crate::Scale) -> Pmake8Result {
-    sweep::run_scenario(&Pmake8Scenario { scale }, &SweepOptions::new()).report
+    sweep::run_scenario(&Pmake8Scenario { scale }, 1).report
 }
 
 /// One fully-instrumented PIso run of the unbalanced configuration:

@@ -8,7 +8,7 @@
 //! executes any scenario with:
 //!
 //! * **Parallel fan-out** — cells are distributed over a scoped
-//!   `std::thread` worker pool ([`SweepOptions::threads`]). Each cell is
+//!   `std::thread` worker pool (the `threads` argument). Each cell is
 //!   an isolated deterministic simulation, so cells can run in any
 //!   order on any thread.
 //! * **Deterministic merge** — outcomes land in a slot indexed by the
@@ -16,56 +16,44 @@
 //!   completion order. Reduction and rendering therefore see exactly
 //!   the sequence a serial run would produce, making parallel output
 //!   *byte-identical* to serial output.
-//! * **Content-addressed caching** — each cell's outcome can be stored
-//!   under a stable fingerprint of everything that determines it
-//!   ([`Scenario::cell_fingerprint`], usually a
-//!   [`Kernel::fingerprint`](smp_kernel::Kernel::fingerprint)).
-//!   Re-running a sweep only re-simulates cells whose inputs changed:
-//!   a changed cell changes its fingerprint, which changes its cache
-//!   file name, which misses. Outcomes round-trip through the cache
-//!   bit-exactly (floats are stored as bit patterns), so a cache hit
-//!   is indistinguishable from a fresh run.
-//! * **Per-cell counters** — wall-clock and cache activity are
-//!   reported through the existing `obsv` counter registry and its
-//!   JSONL exporter ([`SweepRun::counters_jsonl`]).
+//! * **Per-cell counters** — wall-clock per cell is reported through
+//!   the existing `obsv` counter registry and its JSONL exporter
+//!   ([`SweepRun::counters_jsonl`]).
+//!
+//! Every cell is simulated on every run: nothing is cached, so every
+//! number comes from the code as it stands.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use experiments::sweep::{all_scenarios, SweepOptions};
+//! use experiments::sweep::all_scenarios;
 //! use experiments::Scale;
 //!
-//! let opts = SweepOptions::new().threads(4);
 //! for s in all_scenarios(Scale::Quick) {
-//!     let out = s.run_boxed(&opts);
+//!     let out = s.run_boxed(4);
 //!     println!("{}", out.text);
 //! }
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use event_sim::{Fingerprint, Fnv64, SimTime};
 use smp_kernel::export::{json_escape, json_num};
-use smp_kernel::{CounterRegistry, Kernel, ObsvReport};
+use smp_kernel::{CounterRegistry, ObsvReport};
 
 use crate::Scale;
 
 // ---------------------------------------------------------------------------
-// Outcome values and their codec
+// Outcome values
 // ---------------------------------------------------------------------------
 
-/// A structured cell outcome: the closed data model every
-/// [`Outcome`] encodes into.
-///
-/// `Value` has an exact text codec (floats as IEEE-754 bit patterns) so
-/// cached outcomes decode to *bit-identical* values, and a JSON
-/// rendering for the export stream.
+/// A structured cell outcome: the closed data model every [`Outcome`]
+/// encodes into for the JSON export stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
-    /// A float, stored bit-exactly.
+    /// A float.
     F(f64),
     /// An unsigned integer.
     U(u64),
@@ -99,73 +87,11 @@ impl Value {
         }
     }
 
-    /// The bool inside, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::B(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string inside, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::S(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The items inside, if this is a list.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
             Value::L(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Exact text encoding (appended to `out`). Floats are written as
-    /// 16-hex-digit bit patterns, so decoding reproduces them bitwise.
-    fn encode_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            Value::F(x) => {
-                let _ = write!(out, "f{:016x}", x.to_bits());
-            }
-            Value::U(x) => {
-                let _ = write!(out, "u{x};");
-            }
-            Value::B(x) => out.push_str(if *x { "b1" } else { "b0" }),
-            Value::S(s) => {
-                let _ = write!(out, "s{}:", s.len());
-                out.push_str(s);
-            }
-            Value::L(items) => {
-                let _ = write!(out, "l{}:", items.len());
-                for item in items {
-                    item.encode_into(out);
-                }
-            }
-        }
-    }
-
-    /// The exact text encoding.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Parses an [`encode`](Self::encode)d value back.
-    pub fn decode(text: &str) -> Option<Value> {
-        let mut cursor = Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = cursor.value()?;
-        if cursor.pos == cursor.bytes.len() {
-            Some(v)
-        } else {
-            None
         }
     }
 
@@ -186,103 +112,21 @@ impl Value {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&str> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end]).ok()?;
-        self.pos = end;
-        Some(s)
-    }
-
-    /// Reads decimal digits up to (and consuming) `stop`.
-    fn number_until(&mut self, stop: u8) -> Option<u64> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != stop {
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        self.pos += 1; // the stop byte
-        text.parse().ok()
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let tag = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        match tag {
-            b'f' => {
-                let hex = self.take(16)?;
-                let bits = u64::from_str_radix(hex, 16).ok()?;
-                Some(Value::F(f64::from_bits(bits)))
-            }
-            b'u' => Some(Value::U(self.number_until(b';')?)),
-            b'b' => match *self.bytes.get(self.pos)? {
-                b'0' => {
-                    self.pos += 1;
-                    Some(Value::B(false))
-                }
-                b'1' => {
-                    self.pos += 1;
-                    Some(Value::B(true))
-                }
-                _ => None,
-            },
-            b's' => {
-                let len = self.number_until(b':')? as usize;
-                Some(Value::S(self.take(len)?.to_string()))
-            }
-            b'l' => {
-                let count = self.number_until(b':')? as usize;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.value()?);
-                }
-                Some(Value::L(items))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A cell outcome that can round-trip through the result cache.
-///
-/// `decode(encode(x).roundtrip) == x` must hold bit-exactly — the
-/// sweep engine relies on cache hits being indistinguishable from
-/// fresh runs.
-pub trait Outcome: Sized + Send + 'static {
+/// A cell outcome that the sweep exports, one JSON line per cell.
+pub trait Outcome: Send + 'static {
     /// Encodes the outcome as a [`Value`].
     fn encode(&self) -> Value;
-
-    /// Decodes an outcome; `None` on shape mismatch (treated as a cache
-    /// miss).
-    fn decode(v: &Value) -> Option<Self>;
 }
 
 impl Outcome for f64 {
     fn encode(&self) -> Value {
         Value::F(*self)
     }
-    fn decode(v: &Value) -> Option<Self> {
-        v.as_f64()
-    }
 }
 
 impl Outcome for String {
     fn encode(&self) -> Value {
         Value::S(self.clone())
-    }
-    fn decode(v: &Value) -> Option<Self> {
-        v.as_str().map(str::to_string)
     }
 }
 
@@ -292,37 +136,6 @@ impl Outcome for Value {
     fn encode(&self) -> Value {
         self.clone()
     }
-    fn decode(v: &Value) -> Option<Self> {
-        Some(v.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cell fingerprint helpers
-// ---------------------------------------------------------------------------
-
-/// Fingerprint of a kernel-backed cell: the booted kernel's content
-/// hash (configuration, SPUs, files, programs, spawn schedule) mixed
-/// with the run's time cap and a harness tag. Bump the tag whenever
-/// the harness changes *how it measures* the run — the kernel hash only
-/// covers what the kernel simulates, not what the harness extracts
-/// from the metrics.
-pub fn kernel_cell_fingerprint(k: &Kernel, cap: SimTime, tag: &str) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(k.fingerprint());
-    cap.fingerprint(&mut h);
-    h.write_str(tag);
-    h.finish()
-}
-
-/// Fingerprint of a cell that is not a kernel run (a standalone device
-/// simulation, a static table): a tag plus whatever inputs `feed`
-/// writes into the hasher.
-pub fn manual_cell_fingerprint(tag: &str, feed: impl FnOnce(&mut Fnv64)) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(tag);
-    feed(&mut h);
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +145,12 @@ pub fn manual_cell_fingerprint(tag: &str, feed: impl FnOnce(&mut Fnv64)) -> u64 
 /// One experiment matrix: a named set of independent cells and a
 /// reduction of their outcomes into a report.
 ///
-/// Implementations must keep three properties the engine builds on:
+/// Implementations must keep two properties the engine builds on:
 ///
 /// 1. **Cell independence** — [`run_cell`](Self::run_cell) reads only
 ///    `self` and the cell; cells may run concurrently in any order.
 /// 2. **Determinism** — equal cells produce equal outcomes (the
 ///    simulations are pure functions of their inputs).
-/// 3. **Honest fingerprints** — [`cell_fingerprint`](Self::cell_fingerprint)
-///    covers every input that can change the outcome, typically by
-///    building the cell's kernel and taking
-///    [`Kernel::fingerprint`](smp_kernel::Kernel::fingerprint) plus any
-///    out-of-kernel parameters.
 pub trait Scenario {
     /// One point of the matrix.
     type Cell: Send + Sync + 'static;
@@ -351,19 +159,15 @@ pub trait Scenario {
     /// The reduced result (usually an existing `*Result` type).
     type Report;
 
-    /// Stable scenario name (also the cache subdirectory).
+    /// Stable scenario name (the `scenario` field of the export).
     fn name(&self) -> &'static str;
 
     /// The cells in their canonical (declared) order. The merge order —
     /// and therefore all rendered output — follows this order exactly.
     fn cells(&self) -> Vec<Self::Cell>;
 
-    /// A short, unique, filesystem-safe key for a cell (e.g.
-    /// `"piso-unbalanced"`).
+    /// A short, unique key for a cell (e.g. `"piso-unbalanced"`).
     fn cell_key(&self, cell: &Self::Cell) -> String;
-
-    /// Content hash of everything that determines the cell's outcome.
-    fn cell_fingerprint(&self, cell: &Self::Cell) -> u64;
 
     /// Runs one cell to its outcome.
     fn run_cell(&self, cell: &Self::Cell) -> Self::Outcome;
@@ -381,53 +185,16 @@ pub trait Render {
 }
 
 // ---------------------------------------------------------------------------
-// Executor options and run products
+// Run products
 // ---------------------------------------------------------------------------
 
-/// How to execute a sweep.
-#[derive(Clone, Debug, Default)]
-pub struct SweepOptions {
-    /// Worker threads; 0 or 1 runs serially on the calling thread.
-    pub threads: usize,
-    /// Result-cache directory (e.g. `results/.cache`); `None` disables
-    /// caching.
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl SweepOptions {
-    /// Serial, uncached execution (the defaults).
-    pub fn new() -> Self {
-        SweepOptions::default()
-    }
-
-    /// Sets the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Enables the content-addressed result cache under `dir`.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// The conventional on-disk cache location, `results/.cache`.
-    pub fn default_cache() -> PathBuf {
-        PathBuf::from("results/.cache")
-    }
-}
-
-/// Wall-clock and cache accounting for one executed cell.
+/// Wall-clock accounting for one executed cell.
 #[derive(Clone, Debug)]
 pub struct CellStat {
     /// The cell's key.
     pub key: String,
-    /// Wall-clock time spent producing the outcome (simulation or cache
-    /// load).
+    /// Wall-clock time spent simulating the cell.
     pub wall: Duration,
-    /// Whether the outcome came from the cache.
-    pub cached: bool,
 }
 
 /// The product of [`run_scenario`]: the reduced report plus per-cell
@@ -446,7 +213,7 @@ pub struct SweepRun<R> {
 
 impl<R> SweepRun<R> {
     /// Sweep counters through the existing `obsv` registry: total cells,
-    /// cache hits/misses, total and per-cell wall-clock (µs).
+    /// total and per-cell wall-clock (µs).
     pub fn counters(&self) -> CounterRegistry {
         stats_counters(&self.stats)
     }
@@ -454,11 +221,7 @@ impl<R> SweepRun<R> {
     /// The counters as JSONL via the existing exporter
     /// ([`smp_kernel::counters_jsonl`]).
     pub fn counters_jsonl(&self) -> String {
-        let report = ObsvReport {
-            counters: self.counters(),
-            ..ObsvReport::default()
-        };
-        smp_kernel::counters_jsonl(&report)
+        stats_counters_jsonl(&self.stats)
     }
 
     /// Human-readable per-cell timing lines (wall-clock is
@@ -471,14 +234,6 @@ impl<R> SweepRun<R> {
 fn stats_counters(stats: &[CellStat]) -> CounterRegistry {
     let mut c = CounterRegistry::new();
     c.set("sweep.cells", stats.len() as u64);
-    c.set(
-        "sweep.cache_hits",
-        stats.iter().filter(|s| s.cached).count() as u64,
-    );
-    c.set(
-        "sweep.cache_misses",
-        stats.iter().filter(|s| !s.cached).count() as u64,
-    );
     let total: Duration = stats.iter().map(|s| s.wall).sum();
     c.set("sweep.wall_us", total.as_micros() as u64);
     for s in stats {
@@ -490,23 +245,29 @@ fn stats_counters(stats: &[CellStat]) -> CounterRegistry {
     c
 }
 
+fn stats_counters_jsonl(stats: &[CellStat]) -> String {
+    let report = ObsvReport {
+        counters: stats_counters(stats),
+        ..ObsvReport::default()
+    };
+    smp_kernel::counters_jsonl(&report)
+}
+
 fn stats_timing_summary(stats: &[CellStat]) -> String {
     let mut out = String::new();
     let total: Duration = stats.iter().map(|s| s.wall).sum();
     for s in stats {
         out.push_str(&format!(
-            "  {:<28} {:>9.1} ms{}\n",
+            "  {:<28} {:>9.1} ms\n",
             s.key,
-            s.wall.as_secs_f64() * 1e3,
-            if s.cached { "  (cached)" } else { "" }
+            s.wall.as_secs_f64() * 1e3
         ));
     }
     out.push_str(&format!(
-        "  {:<28} {:>9.1} ms  ({} cells, {} cached)\n",
+        "  {:<28} {:>9.1} ms  ({} cells)\n",
         "total",
         total.as_secs_f64() * 1e3,
-        stats.len(),
-        stats.iter().filter(|s| s.cached).count()
+        stats.len()
     ));
     out
 }
@@ -515,91 +276,12 @@ fn stats_timing_summary(stats: &[CellStat]) -> String {
 // The executor
 // ---------------------------------------------------------------------------
 
-/// Replaces every byte outside `[A-Za-z0-9._-]` so a cell key is safe
-/// as a file name.
-fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-const CACHE_MAGIC: &str = "sweep-cache v1";
-
-fn cache_path(dir: &Path, scenario: &str, key: &str, fp: u64) -> PathBuf {
-    dir.join(scenario)
-        .join(format!("{}.{fp:016x}.cell", sanitize_key(key)))
-}
-
-fn cache_load<O: Outcome>(path: &Path) -> Option<O> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let body = text.strip_prefix(CACHE_MAGIC)?.strip_prefix('\n')?;
-    O::decode(&Value::decode(body.trim_end_matches('\n'))?)
-}
-
-/// Atomic store: write to a unique temp name, then rename into place.
-/// Concurrent writers of the same cell race benignly — both write the
-/// same bytes.
-fn cache_store(path: &Path, value: &Value) {
-    let Some(parent) = path.parent() else { return };
-    if std::fs::create_dir_all(parent).is_err() {
-        return;
-    }
-    let tmp = parent.join(format!(
-        ".tmp-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let body = format!("{CACHE_MAGIC}\n{}\n", value.encode());
-    if std::fs::write(&tmp, body).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
-}
-
-/// One executed cell in flight through the pool: the outcome, whether
-/// it came from the cache, and the wall-clock spent producing it.
-type Timed<T> = (T, bool, Duration);
-
-fn run_or_load<S: Scenario>(
-    scenario: &S,
-    cell: &S::Cell,
-    key: &str,
-    opts: &SweepOptions,
-) -> (S::Outcome, bool) {
-    if let Some(dir) = &opts.cache_dir {
-        let fp = scenario.cell_fingerprint(cell);
-        let path = cache_path(dir, scenario.name(), key, fp);
-        if let Some(outcome) = cache_load::<S::Outcome>(&path) {
-            return (outcome, true);
-        }
-        let outcome = scenario.run_cell(cell);
-        cache_store(&path, &outcome.encode());
-        (outcome, false)
-    } else {
-        (scenario.run_cell(cell), false)
-    }
-}
-
-/// Executes a scenario under `opts` and reduces it to its report.
-///
-/// Output is byte-identical for any thread count and any cache state:
-/// outcomes merge in declared cell order, cached outcomes round-trip
-/// bit-exactly, and wall-clock only ever lands in [`SweepRun::stats`].
+/// The scenario's cell keys in declared order.
 ///
 /// # Panics
 ///
-/// Panics if two cells share a key, or if a worker panics (cell
-/// assertion failures propagate).
-pub fn run_scenario<S>(scenario: &S, opts: &SweepOptions) -> SweepRun<S::Report>
-where
-    S: Scenario + Sync,
-{
-    let cells = scenario.cells();
+/// Panics if two cells share a key.
+fn cell_keys<S: Scenario>(scenario: &S, cells: &[S::Cell]) -> Vec<String> {
     let keys: Vec<String> = cells.iter().map(|c| scenario.cell_key(c)).collect();
     for (i, k) in keys.iter().enumerate() {
         assert!(
@@ -608,51 +290,61 @@ where
             scenario.name()
         );
     }
-    let n = cells.len();
-    let threads = opts.threads.clamp(1, n.max(1));
+    keys
+}
 
-    let mut filled: Vec<Timed<S::Outcome>> = if threads <= 1 {
-        cells
-            .iter()
-            .zip(&keys)
-            .map(|(cell, key)| {
-                let start = Instant::now();
-                let (outcome, cached) = run_or_load(scenario, cell, key, opts);
-                (outcome, cached, start.elapsed())
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<Timed<S::Outcome>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    let (outcome, cached) = run_or_load(scenario, &cells[i], &keys[i], opts);
-                    *slots[i].lock().unwrap() = Some((outcome, cached, start.elapsed()));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("worker filled every slot")
-            })
-            .collect()
+/// Runs jobs `0..n` on up to `threads` scoped workers (0 or 1 runs them
+/// serially on the calling thread) and returns each job's result with
+/// its wall-clock, in job order whatever order they finished in.
+fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<(T, Duration)> {
+    let timed = |i| {
+        let start = Instant::now();
+        let out = job(i);
+        (out, start.elapsed())
     };
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return (0..n).map(timed).collect();
+    }
+    let slots: Vec<Mutex<Option<(T, Duration)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("no worker panics holding a slot") = Some(timed(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no worker panics holding a slot")
+                .expect("worker filled every slot")
+        })
+        .collect()
+}
 
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut outcomes_jsonl = String::new();
+/// Merges timed outcomes (in declared cell order) into the report, the
+/// per-cell stats and the outcome export.
+fn merge<S: Scenario>(
+    scenario: &S,
+    keys: Vec<String>,
+    timed: impl IntoIterator<Item = (S::Outcome, Duration)>,
+) -> SweepRun<S::Report> {
     let name = scenario.name();
-    for ((outcome, cached, wall), key) in filled.drain(..).zip(keys) {
+    let mut outcomes = Vec::with_capacity(keys.len());
+    let mut stats = Vec::with_capacity(keys.len());
+    let mut outcomes_jsonl = String::new();
+    for ((outcome, wall), key) in timed.into_iter().zip(keys) {
         outcomes_jsonl.push_str(&format!(
             "{{\"scenario\":\"{}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
             json_escape(name),
@@ -660,13 +352,34 @@ where
             outcome.encode().to_json()
         ));
         outcomes.push(outcome);
-        stats.push(CellStat { key, wall, cached });
+        stats.push(CellStat { key, wall });
     }
     SweepRun {
         report: scenario.reduce(outcomes),
         stats,
         outcomes_jsonl,
     }
+}
+
+/// Executes a scenario on `threads` workers and reduces it to its
+/// report.
+///
+/// Output is byte-identical for any thread count: outcomes merge in
+/// declared cell order, and wall-clock only ever lands in
+/// [`SweepRun::stats`].
+///
+/// # Panics
+///
+/// Panics if two cells share a key, or if a worker panics (cell
+/// assertion failures propagate).
+pub fn run_scenario<S>(scenario: &S, threads: usize) -> SweepRun<S::Report>
+where
+    S: Scenario + Sync,
+{
+    let cells = scenario.cells();
+    let keys = cell_keys(scenario, &cells);
+    let timed = fan_out(cells.len(), threads, |i| scenario.run_cell(&cells[i]));
+    merge(scenario, keys, timed)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,18 +402,9 @@ pub struct SweepOutput {
 }
 
 impl SweepOutput {
-    /// Sweep counters through the existing `obsv` registry.
-    pub fn counters(&self) -> CounterRegistry {
-        stats_counters(&self.stats)
-    }
-
     /// The counters as JSONL via [`smp_kernel::counters_jsonl`].
     pub fn counters_jsonl(&self) -> String {
-        let report = ObsvReport {
-            counters: self.counters(),
-            ..ObsvReport::default()
-        };
-        smp_kernel::counters_jsonl(&report)
+        stats_counters_jsonl(&self.stats)
     }
 
     /// Human-readable per-cell timing lines.
@@ -709,10 +413,15 @@ impl SweepOutput {
     }
 }
 
-/// One type-erased, ready-to-run cell: simulates (or cache-loads) the
-/// cell and returns its encoded outcome plus the cache-hit flag.
-/// Produced by [`AnyScenario::erased_jobs`], consumed by [`run_pool`].
-pub type ErasedJob<'s> = Box<dyn Fn() -> (Value, bool) + Send + Sync + 's>;
+/// A cell outcome with its concrete type erased, so cells of different
+/// scenarios can share one worker pool. [`AnyScenario::assemble`]
+/// downcasts it back to the scenario's [`Scenario::Outcome`].
+pub type ErasedOutcome = Box<dyn Any + Send>;
+
+/// One type-erased, ready-to-run cell: simulates the cell and returns
+/// its outcome. Produced by [`AnyScenario::erased_jobs`], consumed by
+/// [`run_pool`].
+pub type ErasedJob<'s> = Box<dyn Fn() -> ErasedOutcome + Send + Sync + 's>;
 
 /// Object-safe face of [`Scenario`], for heterogeneous scenario lists.
 /// Blanket-implemented for every `Scenario` whose report is
@@ -724,22 +433,24 @@ pub trait AnyScenario: Sync {
     /// How many cells the scenario fans out.
     fn cell_count(&self) -> usize;
 
-    /// Runs the sweep and renders the report.
-    fn run_boxed(&self, opts: &SweepOptions) -> SweepOutput;
+    /// Runs the sweep on `threads` workers and renders the report.
+    fn run_boxed(&self, threads: usize) -> SweepOutput;
 
     /// The scenario's cells as self-contained jobs, in declared order.
-    /// Outcomes cross the type-erasure boundary in their bit-exact
-    /// [`Value`] encoding, so pooled execution stays byte-identical.
     ///
     /// # Panics
     ///
     /// Panics if two cells share a key (same contract as
     /// [`run_scenario`]).
-    fn erased_jobs<'s>(&'s self, opts: &'s SweepOptions) -> Vec<ErasedJob<'s>>;
+    fn erased_jobs(&self) -> Vec<ErasedJob<'_>>;
 
     /// Rebuilds the full [`SweepOutput`] from the jobs' results, handed
     /// back in the same declared order.
-    fn assemble(&self, results: Vec<(Value, bool, Duration)>) -> SweepOutput;
+    ///
+    /// # Panics
+    ///
+    /// Panics if a result is not this scenario's outcome type.
+    fn assemble(&self, results: Vec<(ErasedOutcome, Duration)>) -> SweepOutput;
 }
 
 impl<S> AnyScenario for S
@@ -755,120 +466,65 @@ where
         self.cells().len()
     }
 
-    fn run_boxed(&self, opts: &SweepOptions) -> SweepOutput {
-        let run = run_scenario(self, opts);
-        SweepOutput {
-            name: self.name(),
-            text: run.report.render(),
-            outcomes_jsonl: run.outcomes_jsonl,
-            stats: run.stats,
-        }
+    fn run_boxed(&self, threads: usize) -> SweepOutput {
+        render(self, run_scenario(self, threads))
     }
 
-    fn erased_jobs<'s>(&'s self, opts: &'s SweepOptions) -> Vec<ErasedJob<'s>> {
+    fn erased_jobs(&self) -> Vec<ErasedJob<'_>> {
         let cells = self.cells();
-        let keys: Vec<String> = cells.iter().map(|c| self.cell_key(c)).collect();
-        for (i, k) in keys.iter().enumerate() {
-            assert!(
-                !keys[..i].contains(k),
-                "scenario {}: duplicate cell key {k:?}",
-                self.name()
-            );
-        }
+        // Reject duplicate keys before any cell runs.
+        cell_keys(self, &cells);
         cells
             .into_iter()
-            .zip(keys)
-            .map(|(cell, key)| {
-                Box::new(move || {
-                    let (outcome, cached) = run_or_load(self, &cell, &key, opts);
-                    (outcome.encode(), cached)
-                }) as ErasedJob<'s>
+            .map(|cell| {
+                Box::new(move || Box::new(self.run_cell(&cell)) as ErasedOutcome) as ErasedJob
             })
             .collect()
     }
 
-    fn assemble(&self, results: Vec<(Value, bool, Duration)>) -> SweepOutput {
-        let keys: Vec<String> = self.cells().iter().map(|c| self.cell_key(c)).collect();
+    fn assemble(&self, results: Vec<(ErasedOutcome, Duration)>) -> SweepOutput {
+        let keys = cell_keys(self, &self.cells());
         assert_eq!(
             results.len(),
             keys.len(),
             "scenario {}: one result per cell",
             self.name()
         );
-        let name = self.name();
-        let mut outcomes = Vec::with_capacity(keys.len());
-        let mut stats = Vec::with_capacity(keys.len());
-        let mut outcomes_jsonl = String::new();
-        for ((value, cached, wall), key) in results.into_iter().zip(keys) {
-            outcomes_jsonl.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
-                json_escape(name),
-                json_escape(&key),
-                value.to_json()
-            ));
-            let outcome =
-                S::Outcome::decode(&value).expect("encoded outcomes round-trip (Outcome contract)");
-            outcomes.push(outcome);
-            stats.push(CellStat { key, wall, cached });
-        }
-        SweepOutput {
-            name,
-            text: self.reduce(outcomes).render(),
-            outcomes_jsonl,
-            stats,
-        }
+        let timed = results.into_iter().map(|(outcome, wall)| {
+            let outcome = outcome
+                .downcast::<S::Outcome>()
+                .expect("erased outcome is the scenario's outcome type");
+            (*outcome, wall)
+        });
+        render(self, merge(self, keys, timed))
     }
 }
 
-/// Runs many scenarios' cells through **one** worker pool.
+fn render<S: Scenario>(scenario: &S, run: SweepRun<S::Report>) -> SweepOutput
+where
+    S::Report: Render,
+{
+    SweepOutput {
+        name: scenario.name(),
+        text: run.report.render(),
+        outcomes_jsonl: run.outcomes_jsonl,
+        stats: run.stats,
+    }
+}
+
+/// Runs many scenarios' cells through **one** worker pool of `threads`
+/// workers.
 ///
 /// Byte-for-byte equivalent to calling [`AnyScenario::run_boxed`] on
-/// each scenario in turn with the same options, but without a barrier
-/// between matrices: workers drain a single global work list, so the
-/// wall-clock floor is the longest *cell*, not the longest *matrix*.
-/// Outcomes cross the pool in their bit-exact [`Value`] encoding and
-/// are reassembled per scenario in declared cell order.
-pub fn run_pool(scenarios: &[Box<dyn AnyScenario>], opts: &SweepOptions) -> Vec<SweepOutput> {
-    let per_scenario: Vec<Vec<ErasedJob>> = scenarios.iter().map(|s| s.erased_jobs(opts)).collect();
+/// each scenario in turn, but without a barrier between matrices:
+/// workers drain a single global work list, so the wall-clock floor is
+/// the longest *cell*, not the longest *matrix*. Outcomes cross the
+/// pool as [`ErasedOutcome`]s and are reassembled per scenario in
+/// declared cell order.
+pub fn run_pool(scenarios: &[Box<dyn AnyScenario>], threads: usize) -> Vec<SweepOutput> {
+    let per_scenario: Vec<Vec<ErasedJob>> = scenarios.iter().map(|s| s.erased_jobs()).collect();
     let flat: Vec<&ErasedJob> = per_scenario.iter().flatten().collect();
-    let n = flat.len();
-    let threads = opts.threads.clamp(1, n.max(1));
-
-    let timed: Vec<(Value, bool, Duration)> = if threads <= 1 {
-        flat.iter()
-            .map(|job| {
-                let start = Instant::now();
-                let (value, cached) = job();
-                (value, cached, start.elapsed())
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<Timed<Value>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    let (value, cached) = flat[i]();
-                    *slots[i].lock().unwrap() = Some((value, cached, start.elapsed()));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("worker filled every slot")
-            })
-            .collect()
-    };
-
-    let mut timed = timed.into_iter();
+    let mut timed = fan_out(flat.len(), threads, |i| flat[i]()).into_iter();
     scenarios
         .iter()
         .zip(&per_scenario)
@@ -933,60 +589,9 @@ pub fn threads_from_args(args: &[String]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let d = std::env::temp_dir().join(format!(
-            "sweep-test-{}-{}-{}",
-            std::process::id(),
-            tag,
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn value_codec_round_trips_bit_exactly() {
-        let v = Value::list(vec![
-            Value::F(0.1 + 0.2),
-            Value::F(-0.0),
-            Value::F(f64::INFINITY),
-            Value::U(u64::MAX),
-            Value::B(true),
-            Value::S("with:colons;and\nnewlines".into()),
-            Value::L(vec![]),
-        ]);
-        let decoded = Value::decode(&v.encode()).expect("decodes");
-        assert_eq!(decoded, v);
-        match (&decoded, &v) {
-            (Value::L(a), Value::L(b)) => {
-                assert_eq!(
-                    a[1].as_f64().unwrap().to_bits(),
-                    b[1].as_f64().unwrap().to_bits(),
-                    "-0.0 preserved bitwise"
-                );
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn value_decode_rejects_garbage() {
-        assert_eq!(Value::decode(""), None);
-        assert_eq!(Value::decode("x"), None);
-        assert_eq!(Value::decode("f123"), None);
-        assert_eq!(Value::decode("u12;trailing"), None);
-        assert_eq!(Value::decode("s5:ab"), None);
-    }
 
     /// A toy scenario: squares each cell value, reduce = sum.
-    struct Squares {
-        inputs: Vec<u64>,
-        /// Counts actual simulations (not cache hits).
-        runs: AtomicU64,
-    }
+    struct Squares(Vec<u64>);
 
     struct Sum(u64);
 
@@ -1005,16 +610,12 @@ mod tests {
             "squares"
         }
         fn cells(&self) -> Vec<u64> {
-            self.inputs.clone()
+            self.0.clone()
         }
         fn cell_key(&self, cell: &u64) -> String {
             format!("cell{cell}")
         }
-        fn cell_fingerprint(&self, cell: &u64) -> u64 {
-            0x1000 + *cell
-        }
         fn run_cell(&self, cell: &u64) -> f64 {
-            self.runs.fetch_add(1, Ordering::Relaxed);
             (*cell * *cell) as f64
         }
         fn reduce(&self, outcomes: Vec<f64>) -> Sum {
@@ -1022,19 +623,12 @@ mod tests {
         }
     }
 
-    fn squares(inputs: &[u64]) -> Squares {
-        Squares {
-            inputs: inputs.to_vec(),
-            runs: AtomicU64::new(0),
-        }
-    }
-
     #[test]
     fn parallel_matches_serial_byte_for_byte() {
-        let s = squares(&[1, 2, 3, 4, 5, 6, 7]);
-        let serial = run_scenario(&s, &SweepOptions::new());
+        let s = Squares(vec![1, 2, 3, 4, 5, 6, 7]);
+        let serial = run_scenario(&s, 1);
         for threads in [2, 4, 8] {
-            let par = run_scenario(&s, &SweepOptions::new().threads(threads));
+            let par = run_scenario(&s, threads);
             assert_eq!(par.report.render(), serial.report.render());
             assert_eq!(par.outcomes_jsonl, serial.outcomes_jsonl);
         }
@@ -1044,15 +638,12 @@ mod tests {
     #[test]
     fn pooled_execution_matches_per_scenario_runs() {
         let pool: Vec<Box<dyn AnyScenario>> = vec![
-            Box::new(squares(&[1, 2, 3])),
-            Box::new(squares(&[4, 5, 6, 7])),
+            Box::new(Squares(vec![1, 2, 3])),
+            Box::new(Squares(vec![4, 5, 6, 7])),
         ];
-        let serial: Vec<SweepOutput> = pool
-            .iter()
-            .map(|s| s.run_boxed(&SweepOptions::new()))
-            .collect();
+        let serial: Vec<SweepOutput> = pool.iter().map(|s| s.run_boxed(1)).collect();
         for threads in [1, 2, 8] {
-            let pooled = run_pool(&pool, &SweepOptions::new().threads(threads));
+            let pooled = run_pool(&pool, threads);
             assert_eq!(pooled.len(), serial.len());
             for (a, b) in serial.iter().zip(&pooled) {
                 assert_eq!(a.text, b.text, "pooled report text diverged");
@@ -1063,127 +654,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_execution_uses_the_cache() {
-        let dir = temp_dir("pool");
-        let opts = SweepOptions::new().threads(4).cache_dir(&dir);
-        let pool: Vec<Box<dyn AnyScenario>> = vec![Box::new(squares(&[8, 9]))];
-        let first = run_pool(&pool, &opts);
-        assert!(first[0].stats.iter().all(|s| !s.cached));
-        let second = run_pool(&pool, &opts);
-        assert!(second[0].stats.iter().all(|s| s.cached));
-        assert_eq!(first[0].outcomes_jsonl, second[0].outcomes_jsonl);
-        assert_eq!(first[0].text, second[0].text);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cache_hits_skip_simulation_and_preserve_output() {
-        let dir = temp_dir("hits");
-        let s = squares(&[3, 4]);
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let first = run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 2);
-        assert!(first.stats.iter().all(|st| !st.cached));
-        let second = run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 2, "all cells cached");
-        assert!(second.stats.iter().all(|st| st.cached));
-        assert_eq!(second.outcomes_jsonl, first.outcomes_jsonl);
-        assert_eq!(second.report.0, first.report.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn changed_fingerprint_invalidates_only_that_cell() {
-        struct Shifted(Squares, u64);
-        impl Scenario for Shifted {
-            type Cell = u64;
-            type Outcome = f64;
-            type Report = Sum;
-            fn name(&self) -> &'static str {
-                "squares"
-            }
-            fn cells(&self) -> Vec<u64> {
-                self.0.cells()
-            }
-            fn cell_key(&self, cell: &u64) -> String {
-                self.0.cell_key(cell)
-            }
-            fn cell_fingerprint(&self, cell: &u64) -> u64 {
-                // Cell 3's inputs "changed"; others are unchanged.
-                if *cell == 3 {
-                    self.1
-                } else {
-                    self.0.cell_fingerprint(cell)
-                }
-            }
-            fn run_cell(&self, cell: &u64) -> f64 {
-                self.0.run_cell(cell)
-            }
-            fn reduce(&self, outcomes: Vec<f64>) -> Sum {
-                self.0.reduce(outcomes)
-            }
-        }
-
-        let dir = temp_dir("invalidate");
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let s = squares(&[3, 4, 5]);
-        run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 3);
-        let shifted = Shifted(squares(&[3, 4, 5]), 0xdead);
-        let rerun = run_scenario(&shifted, &opts);
-        assert_eq!(
-            shifted.0.runs.load(Ordering::Relaxed),
-            1,
-            "only the changed cell re-simulates"
-        );
-        let by_key: Vec<(bool, &str)> = rerun
-            .stats
-            .iter()
-            .map(|st| (st.cached, st.key.as_str()))
-            .collect();
-        assert_eq!(
-            by_key,
-            vec![(false, "cell3"), (true, "cell4"), (true, "cell5")]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_cache_entries_fall_back_to_simulation() {
-        let dir = temp_dir("corrupt");
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let s = squares(&[9]);
-        run_scenario(&s, &opts);
-        let path = cache_path(&dir, "squares", "cell9", s.cell_fingerprint(&9));
-        std::fs::write(&path, "not a cache entry").unwrap();
-        let again = squares(&[9]);
-        let run = run_scenario(&again, &opts);
-        assert_eq!(again.runs.load(Ordering::Relaxed), 1);
-        assert_eq!(run.report.0, 81);
-        // The corrupt entry was overwritten with a valid one.
-        let third = squares(&[9]);
-        run_scenario(&third, &opts);
-        assert_eq!(third.runs.load(Ordering::Relaxed), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate cell key")]
     fn duplicate_cell_keys_panic() {
-        let s = squares(&[2, 2]);
-        run_scenario(&s, &SweepOptions::new());
+        run_scenario(&Squares(vec![2, 2]), 1);
     }
 
     #[test]
-    fn counters_report_cells_and_cache_activity() {
-        let s = squares(&[1, 2, 3]);
-        let run = run_scenario(&s, &SweepOptions::new());
+    fn counters_report_cells_and_wall_clock() {
+        let run = run_scenario(&Squares(vec![1, 2, 3]), 1);
         let c = run.counters();
         assert_eq!(c.get("sweep.cells"), 3);
-        assert_eq!(c.get("sweep.cache_hits"), 0);
-        assert_eq!(c.get("sweep.cache_misses"), 3);
         let jsonl = run.counters_jsonl();
         assert!(jsonl.contains("sweep.cells"));
+        assert!(jsonl.contains("sweep.wall_us"));
+        assert!(jsonl.contains("sweep.cell.cell2.wall_us"));
         let timing = run.timing_summary();
         assert!(timing.contains("cell1") && timing.contains("total"));
     }
@@ -1195,11 +679,5 @@ mod tests {
         assert_eq!(threads_from_args(&args(&["--threads=8"])), 8);
         assert_eq!(threads_from_args(&args(&["--quick"])), 1);
         assert_eq!(threads_from_args(&args(&["--threads", "bogus"])), 1);
-    }
-
-    #[test]
-    fn sanitize_key_is_fs_safe() {
-        assert_eq!(sanitize_key("a/b c:d"), "a-b-c-d");
-        assert_eq!(sanitize_key("piso_2.jobs-x"), "piso_2.jobs-x");
     }
 }

@@ -5,7 +5,7 @@
 use spu_core::Scheme;
 
 use crate::report::render_table;
-use crate::sweep::{self, Render, Scenario};
+use crate::sweep::{Render, Scenario};
 
 /// Table 1: the four workloads with their system parameters and SPU
 /// configurations.
@@ -173,11 +173,6 @@ impl Scenario for TablesScenario {
 
     fn cell_key(&self, cell: &Self::Cell) -> String {
         cell.0.to_string()
-    }
-
-    fn cell_fingerprint(&self, cell: &Self::Cell) -> u64 {
-        // Static content: the artefact itself is the input.
-        sweep::manual_cell_fingerprint("tables-v1", |h| h.write_str(&(cell.1)()))
     }
 
     fn run_cell(&self, cell: &Self::Cell) -> String {

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use event_sim::{FaultPlan, Fingerprint, Fnv64, SimDuration};
+use event_sim::{FaultPlan, SimDuration};
 use hp_disk::SchedulerKind;
 use spu_core::{Scheme, ShedPolicy, SpuSet, SpuTree};
 
@@ -258,76 +258,6 @@ impl MachineConfig {
     /// returns typed [`ConfigError`]s instead of panicking.
     pub fn builder() -> MachineConfigBuilder {
         MachineConfigBuilder::default()
-    }
-}
-
-impl Fingerprint for DiskSetup {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_f64(self.seek_scale);
-        match self.scheduler {
-            Some(kind) => {
-                h.write_bool(true);
-                kind.fingerprint(h);
-            }
-            None => h.write_bool(false),
-        }
-    }
-}
-
-impl Fingerprint for Tuning {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        self.tick.fingerprint(h);
-        self.slice.fingerprint(h);
-        self.mem_policy_period.fingerprint(h);
-        h.write_f64(self.reserve_frac);
-        self.bw_half_life.fingerprint(h);
-        h.write_f64(self.bw_threshold);
-        self.sync_period.fingerprint(h);
-        h.write_f64(self.dirty_high_frac);
-        h.write_f64(self.dirty_low_frac);
-        h.write_u32(self.readahead_blocks);
-        h.write_u32(self.prefetch_windows);
-        h.write_f64(self.kernel_mem_frac);
-        self.lookup_cost.fingerprint(h);
-        h.write_bool(self.rw_inode_lock);
-        self.copy_cost.fingerprint(h);
-        self.zero_fill_cost.fingerprint(h);
-        self.fork_cost.fingerprint(h);
-        self.touch_interval.fingerprint(h);
-        h.write_bool(self.ipi_revocation);
-        h.write_u32(self.io_max_retries);
-        self.io_retry_base.fingerprint(h);
-        self.io_retry_cap.fingerprint(h);
-        self.io_timeout.fingerprint(h);
-        h.write_u32(self.admission_cap);
-        h.write_u32(self.queue_cap);
-        self.shed_policy.fingerprint(h);
-        self.request_timeout.fingerprint(h);
-        h.write_u32(self.request_max_retries);
-        self.request_retry_base.fingerprint(h);
-        self.request_retry_cap.fingerprint(h);
-        self.codel_target.fingerprint(h);
-        self.codel_interval.fingerprint(h);
-    }
-}
-
-impl Fingerprint for MachineConfig {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_usize(self.cpus);
-        h.write_u64(self.memory_mb);
-        h.write_usize(self.disks.len());
-        for d in &self.disks {
-            d.fingerprint(h);
-        }
-        self.scheme.fingerprint(h);
-        self.tuning.fingerprint(h);
-        match &self.fault_plan {
-            Some(plan) => {
-                h.write_bool(true);
-                plan.fingerprint(h);
-            }
-            None => h.write_bool(false),
-        }
     }
 }
 
@@ -815,8 +745,8 @@ impl MachineConfigBuilder {
     /// Materializes the topology-declared SPU set into explicit share
     /// vectors, leaving an explicit [`shares`](Self::shares) builder
     /// untouched. Memory/disk vectors are only materialized when an
-    /// override demands them, so a plain `spus(n, w)` builds the exact
-    /// same `SpuSet` (and fingerprint) as `shares(&[w; n])`.
+    /// override demands them, so a plain `spus(n, w)` builds a `SpuSet`
+    /// equal to `shares(&[w; n])` and to [`SpuSet::equal_users`].
     fn materialize_topology(&mut self) -> Result<(), ConfigError> {
         let Some((count, default_share)) = self.spu_count else {
             if !self.spu_overrides.is_empty()
@@ -1058,21 +988,6 @@ mod tests {
             fault_plan: None,
         };
         assert_eq!(built, by_hand);
-        assert_eq!(built.fingerprint_digest(), by_hand.fingerprint_digest());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_configs() {
-        let mk = || MachineConfig::builder().topology(2, 44, 1);
-        let a = mk().build().unwrap();
-        let b = mk().scheme(Scheme::Smp).build().unwrap();
-        let c = MachineConfig::builder().topology(2, 45, 1).build().unwrap();
-        assert_ne!(a.fingerprint_digest(), b.fingerprint_digest());
-        assert_ne!(a.fingerprint_digest(), c.fingerprint_digest());
-        assert_eq!(
-            a.fingerprint_digest(),
-            mk().build().unwrap().fingerprint_digest()
-        );
     }
 
     #[test]
@@ -1113,8 +1028,8 @@ mod tests {
 
     #[test]
     fn plain_spus_skips_memory_and_disk_vectors() {
-        // No memory/disk overrides → no memory/disk vectors, so the
-        // sharing fingerprint matches the classic equal-shares path.
+        // No memory/disk overrides → no memory/disk vectors, so the set
+        // stays equal to the classic equal-shares `SpuSet::equal_users`.
         let (_, spus) = MachineConfig::builder()
             .topology(4, 44, 2)
             .spus(3, 1)

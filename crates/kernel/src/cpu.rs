@@ -379,8 +379,6 @@ impl Kernel {
                     let holder_spu = self.procs.get(pid).spu;
                     if let Some(attr) = &mut self.attribution {
                         attr.lock_released(pid, holder_spu, lock, self.now);
-                    }
-                    if self.attribution.is_some() {
                         // Charge everyone still queued for the hold
                         // segment that just ended.
                         let mut queued = std::mem::take(&mut self.lock_waiter_scratch);
@@ -388,7 +386,6 @@ impl Kernel {
                         self.locks.for_each_waiter(lock, |p| queued.push(p));
                         for &p in &queued {
                             let waiter_spu = self.procs.get(p).spu;
-                            let attr = self.attribution.as_mut().expect("checked above");
                             attr.lock_still_waiting(p, waiter_spu, lock, holder_spu, self.now);
                         }
                         queued.clear();

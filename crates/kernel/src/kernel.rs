@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use crate::fastmap::FastMap;
 use std::sync::Arc;
 
-use event_sim::{EventQueue, Fingerprint, Fnv64, LogHistogram, SimDuration, SimTime};
+use event_sim::{EventQueue, LogHistogram, SimDuration, SimTime};
 use hp_disk::{DiskDevice, DiskModel};
 use spu_core::{CpuPartition, LedgerAuditor, ResourceManager, SpuId, SpuSet};
 
@@ -153,11 +153,6 @@ pub struct Kernel {
     /// Scratch waiter list for `LockRelease` attribution charging, so
     /// instrumented runs don't allocate per release.
     pub(crate) lock_waiter_scratch: Vec<crate::process::Pid>,
-    /// Stable content hash of everything that determines the run:
-    /// configuration, SPU set, files, spawned programs. Because the
-    /// simulation is a pure function of these inputs, the digest
-    /// identifies the run's outcome (see [`Kernel::fingerprint`]).
-    pub(crate) fp: Fnv64,
     /// Every published counter name interned once at boot (including the
     /// per-disk `disk.{i}.*` names), so metric collection is dense-id
     /// stores with no string hashing or formatting.
@@ -301,9 +296,6 @@ impl Kernel {
         let sched = Scheduler::new(cfg.scheme, cfg.cpus, &spus);
         let locks = LockTable::new(!cfg.tuning.rw_inode_lock);
         let disk_count = disks.len();
-        let mut fp = Fnv64::new();
-        cfg.fingerprint(&mut fp);
-        spus.fingerprint(&mut fp);
         Kernel {
             spus,
             now: SimTime::ZERO,
@@ -353,20 +345,9 @@ impl Kernel {
             page_arena: crate::process::PageArena::new(),
             swapin_scratch: Vec::new(),
             lock_waiter_scratch: Vec::new(),
-            fp,
             counter_ids: KernelCounterIds::new(disk_count),
             cfg,
         }
-    }
-
-    /// Stable 64-bit digest of the kernel's construction inputs — the
-    /// machine configuration, SPU set, and every `create_file` /
-    /// `spawn_at` call so far. Two kernels with equal fingerprints run
-    /// identically, so the digest can key a cache of run results. The
-    /// hash (FNV-1a) does not depend on pointer values, build, or
-    /// platform.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp.finish()
     }
 
     /// The configuration in force.
@@ -453,8 +434,8 @@ impl Kernel {
     /// [`run`](Self::run).
     ///
     /// Attribution only *observes* state the kernel maintains anyway, so
-    /// enabling it never changes scheduling decisions, the fingerprint,
-    /// or any pre-existing export line — exports gain lines, byte-for-
+    /// enabling it never changes scheduling decisions or any
+    /// pre-existing export line — exports gain lines, byte-for-
     /// byte identical prefixes aside.
     pub fn enable_attribution(&mut self) {
         self.attribution = Some(Attribution::new(self.spus.total_count()));
@@ -488,10 +469,6 @@ impl Kernel {
 
     /// Creates a file on `disk` (see [`FileSystem::create`]).
     pub fn create_file(&mut self, disk: usize, bytes: u64, gap_blocks: u64) -> FileId {
-        self.fp.write_u64(0xf11e);
-        self.fp.write_usize(disk);
-        self.fp.write_u64(bytes);
-        self.fp.write_u64(gap_blocks);
         self.fs.create(disk, bytes, gap_blocks)
     }
 
@@ -504,17 +481,6 @@ impl Kernel {
         job_label: Option<&str>,
         at: SimTime,
     ) -> Pid {
-        self.fp.write_u64(0x5fa0);
-        self.fp.write_usize(spu.index());
-        program.fingerprint(&mut self.fp);
-        match job_label {
-            Some(label) => {
-                self.fp.write_bool(true);
-                self.fp.write_str(label);
-            }
-            None => self.fp.write_bool(false),
-        }
-        at.fingerprint(&mut self.fp);
         let pid = self.procs.next_pid();
         let job = job_label.map(|label| {
             let id = JobId(self.jobs.len() as u32);
@@ -553,12 +519,6 @@ impl Kernel {
         at: SimTime,
         deadline: SimDuration,
     ) -> Pid {
-        self.fp.write_u64(0x5fa1);
-        self.fp.write_usize(spu.index());
-        program.fingerprint(&mut self.fp);
-        self.fp.write_str(label);
-        at.fingerprint(&mut self.fp);
-        deadline.fingerprint(&mut self.fp);
         let pid = self.procs.next_pid();
         let id = JobId(self.jobs.len() as u32);
         self.jobs.push(JobRecord {

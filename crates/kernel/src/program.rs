@@ -117,69 +117,6 @@ impl Program {
     }
 }
 
-impl event_sim::Fingerprint for ProgramOp {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        match self {
-            ProgramOp::Compute {
-                duration,
-                working_set,
-            } => {
-                h.write_u64(1);
-                duration.fingerprint(h);
-                h.write_u32(*working_set);
-            }
-            ProgramOp::Alloc { pages } => {
-                h.write_u64(2);
-                h.write_u32(*pages);
-            }
-            ProgramOp::Read {
-                file,
-                offset,
-                bytes,
-            } => {
-                h.write_u64(3);
-                h.write_u32(file.0);
-                h.write_u64(*offset);
-                h.write_u64(*bytes);
-            }
-            ProgramOp::Write {
-                file,
-                offset,
-                bytes,
-            } => {
-                h.write_u64(4);
-                h.write_u32(file.0);
-                h.write_u64(*offset);
-                h.write_u64(*bytes);
-            }
-            ProgramOp::MetaWrite { file } => {
-                h.write_u64(5);
-                h.write_u32(file.0);
-            }
-            ProgramOp::Fork { program } => {
-                h.write_u64(6);
-                program.fingerprint(h);
-            }
-            ProgramOp::WaitChildren => h.write_u64(7),
-            ProgramOp::Barrier { id, participants } => {
-                h.write_u64(8);
-                h.write_u32(id.0);
-                h.write_u32(*participants);
-            }
-        }
-    }
-}
-
-impl event_sim::Fingerprint for Program {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(&self.name);
-        h.write_usize(self.ops.len());
-        for op in &self.ops {
-            op.fingerprint(h);
-        }
-    }
-}
-
 /// Builder for [`Program`] scripts.
 #[derive(Clone, Debug)]
 pub struct ProgramBuilder {

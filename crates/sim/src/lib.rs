@@ -25,7 +25,7 @@
 
 pub mod arrival;
 pub mod fault;
-pub mod fingerprint;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -33,7 +33,7 @@ pub mod time;
 
 pub use arrival::{ArrivalPlan, ArrivalProcess};
 pub use fault::{backoff_delay, FaultDomain, FaultEvent, FaultKind, FaultPlan};
-pub use fingerprint::{Fingerprint, Fnv64};
+pub use hash::Fnv64;
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, LogHistogram, OnlineStats, TimeWeighted};

@@ -13,7 +13,7 @@
 //! the 15 ablation cells in parallel)
 
 use perf_isolation::experiments::ablation::AblationScenario;
-use perf_isolation::experiments::sweep::{self, Render, SweepOptions};
+use perf_isolation::experiments::sweep::{self, Render};
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -23,10 +23,10 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
 
     println!("Running ablations ({scale:?} scale)...\n");
-    let report = sweep::run_scenario(&AblationScenario::standard(scale), &opts).report;
+    let report = sweep::run_scenario(&AblationScenario::standard(scale), threads).report;
     println!("{}", report.render());
     println!(
         "§3.3: \"Smaller values imply better isolation, with a choice of zero\n\

@@ -8,7 +8,7 @@
 //! the three scheme cells in parallel)
 
 use perf_isolation::experiments::cpu_iso::CpuIsoScenario;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
 use perf_isolation::experiments::Scale;
 
@@ -19,10 +19,10 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("{}", tables::figure4());
     println!("Running the CPU-isolation workload ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&CpuIsoScenario { scale }, &opts).report;
+    let result = sweep::run_scenario(&CpuIsoScenario { scale }, threads).report;
     println!("{}", result.format());
     println!(
         "Paper shape: Ocean — Quo best, PIso close behind, SMP worst\n\

@@ -10,7 +10,7 @@
 //! the six workload × scheduler cells in parallel)
 
 use perf_isolation::experiments::disk_bw::DiskBwScenario;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -20,9 +20,9 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("Running the disk-bandwidth workloads ({scale:?} scale)...\n");
-    let report = sweep::run_scenario(&DiskBwScenario::both(scale), &opts).report;
+    let report = sweep::run_scenario(&DiskBwScenario::both(scale), threads).report;
     println!(
         "Table 3: the pmake-copy workload\n{}",
         report.tables[0].format()

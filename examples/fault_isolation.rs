@@ -21,7 +21,7 @@
 
 use perf_isolation::experiments::fault_isolation::{self, FaultIsolationScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -31,9 +31,9 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("Running the fault matrix under SMP, Quo, and PIso ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&FaultIsolationScenario { scale }, &opts).report;
+    let result = sweep::run_scenario(&FaultIsolationScenario { scale }, threads).report;
     println!("{}", result.format());
     println!(
         "\nExpectation: under PIso the foreground Δ stays within ~10% for every\n\

@@ -18,7 +18,7 @@
 //! ladder and `--out FILE` writes the per-cell outcome JSONL artifact)
 
 use perf_isolation::experiments::scaling::{self, CpuScaleScenario, ScalingScenario};
-use perf_isolation::experiments::sweep::{self, Render, SweepOptions};
+use perf_isolation::experiments::sweep::{self, Render};
 use perf_isolation::experiments::Scale;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -41,7 +41,7 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
 
     if args.iter().any(|a| a == "--cpu-scale") {
         let max_cpus = flag_value(&args, "--max-cpus")
@@ -49,7 +49,7 @@ fn main() {
             .unwrap_or(usize::MAX);
         let scenario = CpuScaleScenario::capped(scale, max_cpus);
         println!("Sweeping machine size under PIso ({scale:?} scale)...\n");
-        let run = sweep::run_scenario(&scenario, &opts);
+        let run = sweep::run_scenario(&scenario, threads);
         println!("{}", run.report.render());
         println!("sim-throughput (simulated seconds per wall second):");
         println!(
@@ -69,7 +69,7 @@ fn main() {
     }
 
     println!("Sweeping background load on the Pmake8 machine ({scale:?} scale)...\n");
-    let report = sweep::run_scenario(&ScalingScenario::standard(scale), &opts).report;
+    let report = sweep::run_scenario(&ScalingScenario::standard(scale), threads).report;
     println!("{}", scaling::format(&report.points));
     println!(
         "\"If the resource requirements of an SPU are less than its allocated\n\

@@ -23,7 +23,7 @@
 
 use perf_isolation::experiments::lock_leakage::{self, LockLeakageScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -33,9 +33,9 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("Running the lock-leakage matrix under SMP, Quo, and PIso ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&LockLeakageScenario { scale }, &opts).report;
+    let result = sweep::run_scenario(&LockLeakageScenario { scale }, threads).report;
     println!("{}", result.format());
     println!(
         "\nExpectation: the antagonist→victim wait is largest under SMP, shrinks\n\

@@ -14,7 +14,7 @@
 
 use perf_isolation::experiments::mem_iso::{self, MemIsoScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
 use perf_isolation::experiments::Scale;
 
@@ -25,10 +25,10 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("{}", tables::figure6());
     println!("Running the memory-isolation workload ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&MemIsoScenario { scale }, &opts).report;
+    let result = sweep::run_scenario(&MemIsoScenario { scale }, threads).report;
     println!("{}", result.format());
     println!(
         "SPU2 major faults (unbalanced): SMP={} Quo={} PIso={}",

@@ -12,7 +12,7 @@
 //! the two scheduler cells in parallel)
 
 use perf_isolation::experiments::net_bw::NetBwScenario;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -22,9 +22,9 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("Running the network-bandwidth scenario ({scale:?} scale)...\n");
-    let t = sweep::run_scenario(&NetBwScenario { scale }, &opts).report;
+    let t = sweep::run_scenario(&NetBwScenario { scale }, threads).report;
     println!("{}", t.format());
     println!(
         "Expected shape: under FCFS the interactive stream's packets wait\n\

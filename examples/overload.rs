@@ -26,7 +26,7 @@
 
 use perf_isolation::experiments::overload::{self, OverloadScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -52,12 +52,12 @@ fn main() {
     let cpus: usize = flag_value(&args, "--cpus")
         .and_then(|v| v.parse().ok())
         .unwrap_or(overload::SEED_CPUS);
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!(
         "Running the overload matrix: scheme x shed policy x load \
          ({scale:?} scale, {cpus} CPUs)...\n"
     );
-    let result = sweep::run_scenario(&OverloadScenario::at(scale, cpus), &opts).report;
+    let result = sweep::run_scenario(&OverloadScenario::at(scale, cpus), threads).report;
     println!("{}", result.format());
     println!(
         "\nExpectation: at 2.5x the no-shed antagonist queue goes metastable —\n\

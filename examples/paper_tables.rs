@@ -4,48 +4,48 @@
 //! `results/`.
 //!
 //! All ten matrices' cells are drained by **one** worker pool
-//! (`sweep::run_pool`), so there is no barrier between matrices. The
-//! output is byte-identical for any `--threads` value and any cache
-//! state; only the timing lines (which go to stdout, never into result
-//! files) vary between runs.
+//! (`sweep::run_pool`), so there is no barrier between matrices. Every
+//! cell is simulated on every run, and the output is byte-identical
+//! for any `--threads` value; only the timing lines (which go to
+//! stdout, never into result files) vary between runs.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example paper_tables -- [--quick] [--threads N] [--no-cache]
+//! cargo run --release --example paper_tables -- [--quick] [--threads N]
 //! cargo run --release --example paper_tables -- --quick --compare-threads 4
 //! ```
 //!
 //! `--compare-threads N` is the CI mode: it runs the full matrix twice
-//! (serial, then N workers), both uncached, asserts the outputs are
-//! byte-identical, and prints the measured speedup.
+//! (serial, then N workers), asserts the outputs are byte-identical,
+//! and prints the measured speedup. Unknown flags and malformed values
+//! are rejected with a usage line and exit status 2.
 
 use std::time::Instant;
 
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions, SweepOutput};
+use perf_isolation::experiments::sweep::{self, SweepOutput};
 use perf_isolation::Scale;
+
+const USAGE: &str = "usage: paper_tables [--quick] [--threads N] [--compare-threads N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("paper_tables: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
-    if let Some(n) = compare_threads(&args) {
-        compare(scale, n);
+    if let Some(n) = opts.compare_threads {
+        compare(opts.scale, n);
         return;
-    }
-
-    let mut opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
-    if !args.iter().any(|a| a == "--no-cache") {
-        opts = opts.cache_dir(SweepOptions::default_cache());
     }
 
     let mut outcomes = String::new();
     let mut counters = String::new();
-    for out in sweep::run_pool(&sweep::all_scenarios(scale), &opts) {
+    for out in sweep::run_pool(&sweep::all_scenarios(opts.scale), opts.threads) {
         println!("{}", out.text);
         println!("[{}] per-cell timing:\n{}", out.name, out.timing_summary());
         outcomes.push_str(&out.outcomes_jsonl);
@@ -61,33 +61,65 @@ fn main() {
     .expect("write results/");
 }
 
-/// Parses `--compare-threads N` (either `--compare-threads 4` or
-/// `--compare-threads=4`).
-fn compare_threads(args: &[String]) -> Option<usize> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--compare-threads" {
-            return iter.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--compare-threads=") {
-            return v.parse().ok();
-        }
-    }
-    None
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    scale: Scale,
+    threads: usize,
+    compare_threads: Option<usize>,
 }
 
-/// Runs every scenario serially and then with `threads` workers (both
-/// uncached), asserts byte-identical output, and prints the speedup.
+/// Parses the command line; every argument must be a known flag, and
+/// `--threads` / `--compare-threads` take a count either as the next
+/// argument or after `=`.
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts {
+        scale: Scale::Full,
+        threads: 1,
+        compare_threads: None,
+    };
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .or_else(|| iter.next().map(String::as_str))
+                .ok_or(format!("{flag} needs a value"))
+        };
+        match flag {
+            "--quick" if inline.is_none() => opts.scale = Scale::Quick,
+            "--threads" => opts.threads = count(flag, value()?)?,
+            "--compare-threads" => match count(flag, value()?)? {
+                0 => return Err(format!("{flag} must be at least 1")),
+                n => opts.compare_threads = Some(n),
+            },
+            _ => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok(opts)
+}
+
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a count, not {value:?}"))
+}
+
+/// Runs every scenario serially and then with `threads` workers,
+/// asserts byte-identical output, and prints the speedup.
 fn compare(scale: Scale, threads: usize) {
-    let run_all = |opts: &SweepOptions| -> (Vec<SweepOutput>, f64) {
+    let run_all = |threads: usize| -> (Vec<SweepOutput>, f64) {
         let start = Instant::now();
-        let outputs = sweep::run_pool(&sweep::all_scenarios(scale), opts);
+        let outputs = sweep::run_pool(&sweep::all_scenarios(scale), threads);
         (outputs, start.elapsed().as_secs_f64())
     };
 
-    println!("sweep comparison at scale={} (uncached)", scale.label());
-    let (serial, serial_wall) = run_all(&SweepOptions::new());
-    let (parallel, parallel_wall) = run_all(&SweepOptions::new().threads(threads));
+    println!("sweep comparison at scale={}", scale.label());
+    let (serial, serial_wall) = run_all(1);
+    let (parallel, parallel_wall) = run_all(threads);
 
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -109,4 +141,67 @@ fn compare(scale: Scale, threads: usize) {
          -> speedup {:.2}x (outputs byte-identical)",
         serial_wall / parallel_wall
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_to_a_serial_full_scale_run() {
+        let opts = parse(&[]).unwrap();
+        assert_eq!(
+            opts,
+            Opts {
+                scale: Scale::Full,
+                threads: 1,
+                compare_threads: None
+            }
+        );
+    }
+
+    #[test]
+    fn compare_threads_takes_a_separate_or_inline_count() {
+        assert_eq!(
+            parse(&["--quick", "--compare-threads", "4"])
+                .unwrap()
+                .compare_threads,
+            Some(4)
+        );
+        let opts = parse(&["--compare-threads=3"]).unwrap();
+        assert_eq!(opts.compare_threads, Some(3));
+        assert_eq!(opts.scale, Scale::Full);
+    }
+
+    #[test]
+    fn malformed_compare_threads_is_rejected() {
+        for bad in [
+            &["--compare-threads", "bogus"][..],
+            &["--compare-threads=bogus"],
+            &["--compare-threads"],
+            &["--compare-threads", "0"],
+            &["--compare-threads", "-2"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn threads_takes_a_count() {
+        assert_eq!(parse(&["--threads", "8"]).unwrap().threads, 8);
+        assert_eq!(parse(&["--threads=2"]).unwrap().threads, 2);
+        assert!(parse(&["--threads", "many"]).is_err());
+        assert!(parse(&["--threads"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for bad in [&["--no-cache"][..], &["--quik"], &["quick"], &["--quick=1"]] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 }

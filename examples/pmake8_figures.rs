@@ -19,7 +19,7 @@
 
 use perf_isolation::experiments::pmake8::{self, Pmake8Scenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
 use perf_isolation::experiments::Scale;
 
@@ -30,10 +30,10 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("{}", tables::figure1());
     println!("Running the Pmake8 workload under SMP, Quo, and PIso ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&Pmake8Scenario { scale }, &opts).report;
+    let result = sweep::run_scenario(&Pmake8Scenario { scale }, threads).report;
     println!("{}", result.format());
     println!(
         "Paper shape: Fig 2 — SMP unbalanced ≈ 156, Quo/PIso unbalanced ≈ 100;\n\

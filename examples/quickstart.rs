@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example quickstart [-- --threads 3]`
 
 use perf_isolation::core::{Scheme, SpuId, SpuSet};
-use perf_isolation::experiments::sweep::{self, Scenario, SweepOptions, Value};
+use perf_isolation::experiments::sweep::{self, Scenario, Value};
 use perf_isolation::kernel::{Kernel, MachineConfig, Program};
 use perf_isolation::sim::{SimDuration, SimTime};
 
@@ -20,8 +20,7 @@ use perf_isolation::sim::{SimDuration, SimTime};
 /// victim's and the hog's mean response on the same two-SPU machine.
 struct Quickstart;
 
-/// Builds the machine and job mix for one scheme. Booting is cheap and
-/// deterministic, so the fingerprint can hash the booted kernel itself.
+/// Builds the machine and job mix for one scheme.
 fn boot(scheme: Scheme) -> Kernel {
     let cfg = MachineConfig::builder()
         .topology(2, 32, 1)
@@ -71,10 +70,6 @@ impl Scenario for Quickstart {
         scheme.label().to_lowercase()
     }
 
-    fn cell_fingerprint(&self, &scheme: &Scheme) -> u64 {
-        sweep::kernel_cell_fingerprint(&boot(scheme), SimTime::from_secs(60), "quickstart-v1")
-    }
-
     fn run_cell(&self, &scheme: &Scheme) -> Value {
         let mut kernel = boot(scheme);
         let metrics = kernel.run(SimTime::from_secs(60));
@@ -99,12 +94,12 @@ impl Scenario for Quickstart {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
 
     println!("Performance Isolation quickstart");
     println!("2 CPUs, 32 MB, two SPUs: a victim (1 job) and a hog (6 jobs)\n");
 
-    let run = sweep::run_scenario(&Quickstart, &opts);
+    let run = sweep::run_scenario(&Quickstart, threads);
     println!(
         "{:<6} {:>14} {:>14}",
         "scheme", "victim resp(s)", "hog mean(s)"

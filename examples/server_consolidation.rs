@@ -27,7 +27,7 @@
 
 use perf_isolation::experiments::consolidation::{self, ConsolidationScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::Scale;
 
 fn main() {
@@ -37,9 +37,9 @@ fn main() {
     } else {
         Scale::Full
     };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let threads = sweep::threads_from_args(&args);
     println!("Running the consolidation matrix: layout x load ({scale:?} scale)...\n");
-    let result = sweep::run_scenario(&ConsolidationScenario::seed(scale), &opts).report;
+    let result = sweep::run_scenario(&ConsolidationScenario::seed(scale), threads).report;
     println!("{}", result.format());
     println!(
         "\nExpectation: at 4.0x SMP leaks the antagonist's fork-bursts into\n\

@@ -40,7 +40,6 @@ pub use workloads;
 pub use experiments::mem_iso::MemIsoRun;
 pub use experiments::pmake8::Pmake8Run;
 pub use experiments::sweep::{
-    all_scenarios, run_pool, run_scenario, AnyScenario, Outcome, Render, Scenario, SweepOptions,
-    SweepRun,
+    all_scenarios, run_pool, run_scenario, AnyScenario, Outcome, Render, Scenario, SweepRun,
 };
 pub use experiments::Scale;

@@ -6,7 +6,7 @@
 
 use perf_isolation::core::{Scheme, SpuId, SpuSet, SpuTree};
 use perf_isolation::experiments::consolidation::ConsolidationScenario;
-use perf_isolation::experiments::sweep::{run_scenario, Render, SweepOptions};
+use perf_isolation::experiments::sweep::{run_scenario, Render};
 use perf_isolation::kernel::{metrics_jsonl, Kernel, MachineConfig, Program};
 use perf_isolation::sim::{SimDuration, SimTime};
 use perf_isolation::Scale;
@@ -14,8 +14,8 @@ use perf_isolation::Scale;
 #[test]
 fn consolidation_matrix_is_byte_identical_at_1_vs_4_threads() {
     let scenario = ConsolidationScenario::seed(Scale::Quick);
-    let serial = run_scenario(&scenario, &SweepOptions::new());
-    let parallel = run_scenario(&scenario, &SweepOptions::new().threads(4));
+    let serial = run_scenario(&scenario, 1);
+    let parallel = run_scenario(&scenario, 4);
     assert_eq!(
         serial.outcomes_jsonl, parallel.outcomes_jsonl,
         "consolidation outcome export diverged at 4 threads"

@@ -4,7 +4,7 @@
 
 use event_sim::{ArrivalProcess, SimTime};
 use perf_isolation::experiments::overload::{self, OverloadScenario};
-use perf_isolation::experiments::sweep::{run_scenario, SweepOptions};
+use perf_isolation::experiments::sweep::run_scenario;
 use perf_isolation::Scale;
 
 fn processes() -> Vec<ArrivalProcess> {
@@ -42,8 +42,8 @@ fn arrival_schedules_are_byte_identical_per_seed() {
 #[test]
 fn overload_exports_are_byte_identical_across_thread_counts() {
     let scenario = OverloadScenario::seed(Scale::Quick);
-    let serial = run_scenario(&scenario, &SweepOptions::new());
-    let parallel = run_scenario(&scenario, &SweepOptions::new().threads(4));
+    let serial = run_scenario(&scenario, 1);
+    let parallel = run_scenario(&scenario, 4);
     assert_eq!(
         serial.outcomes_jsonl, parallel.outcomes_jsonl,
         "outcome export diverged at 4 threads"

@@ -5,7 +5,7 @@
 
 use perf_isolation::core::{Scheme, SpuId};
 use perf_isolation::experiments::scaling::CpuScaleScenario;
-use perf_isolation::experiments::sweep::{run_scenario, Render, SweepOptions};
+use perf_isolation::experiments::sweep::{run_scenario, Render};
 use perf_isolation::kernel::{metrics_jsonl, Kernel, MachineConfig, Program};
 use perf_isolation::sim::{SimDuration, SimTime};
 use perf_isolation::Scale;
@@ -15,8 +15,8 @@ fn scale_sweep_is_byte_identical_at_1_vs_4_threads() {
     // The 8/32/128-CPU ladder (512 is covered by the scaling unit
     // tests; capping keeps this integration test fast).
     let scenario = CpuScaleScenario::capped(Scale::Quick, 128);
-    let serial = run_scenario(&scenario, &SweepOptions::new());
-    let parallel = run_scenario(&scenario, &SweepOptions::new().threads(4));
+    let serial = run_scenario(&scenario, 1);
+    let parallel = run_scenario(&scenario, 4);
     assert_eq!(
         serial.outcomes_jsonl, parallel.outcomes_jsonl,
         "cpu-scale outcome export diverged at 4 threads"

@@ -1,27 +1,22 @@
 //! Workspace-level guarantees of the sweep engine (the contract DESIGN.md
-//! documents): for every scenario in the registry, parallel execution and
-//! the result cache are invisible in the output — byte for byte.
+//! documents): for every scenario in the registry, parallel and pooled
+//! execution are invisible in the output — byte for byte — and the
+//! quick-scale outcome export matches its committed golden.
 
-use std::path::PathBuf;
-
-use perf_isolation::experiments::net_bw::NetBwScenario;
-use perf_isolation::experiments::scaling::CpuScaleScenario;
-use perf_isolation::experiments::sweep::{
-    all_scenarios, run_pool, run_scenario, Render, SweepOptions,
-};
+use perf_isolation::experiments::sweep::{all_scenarios, run_pool};
 use perf_isolation::Scale;
 
-/// A fresh per-test scratch directory under the system temp dir.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sweep-int-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+/// The concatenated `outcomes_jsonl` of `all_scenarios(Scale::Quick)`, in
+/// registry order.
+const QUICK_OUTCOMES_GOLDEN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/crates/experiments/tests/goldens/sweep_outcomes_quick.jsonl"
+));
 
 #[test]
 fn every_scenario_is_byte_identical_across_thread_counts() {
     for scenario in all_scenarios(Scale::Quick) {
-        let serial = scenario.run_boxed(&SweepOptions::new());
+        let serial = scenario.run_boxed(1);
         assert_eq!(
             serial.stats.len(),
             scenario.cell_count(),
@@ -29,7 +24,7 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
             serial.name
         );
         for threads in [2usize, 4, 8] {
-            let parallel = scenario.run_boxed(&SweepOptions::new().threads(threads));
+            let parallel = scenario.run_boxed(threads);
             assert_eq!(
                 serial.text, parallel.text,
                 "[{}] rendered report diverged at {threads} threads",
@@ -47,12 +42,21 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
 #[test]
 fn pooled_execution_is_byte_identical_to_per_scenario_runs() {
     let scenarios = all_scenarios(Scale::Quick);
-    let separate: Vec<_> = scenarios
-        .iter()
-        .map(|s| s.run_boxed(&SweepOptions::new()))
-        .collect();
+    let separate: Vec<_> = scenarios.iter().map(|s| s.run_boxed(1)).collect();
+    let all: String = separate.iter().map(|o| o.outcomes_jsonl.as_str()).collect();
+    assert!(
+        all == QUICK_OUTCOMES_GOLDEN,
+        "quick-scale outcome export diverged from the golden \
+         sweep_outcomes_quick.jsonl; first differing line: {:?}",
+        QUICK_OUTCOMES_GOLDEN
+            .lines()
+            .zip(all.lines())
+            .enumerate()
+            .find(|(_, (g, a))| g != a)
+            .map(|(i, (g, a))| format!("line {}: golden={g:?} actual={a:?}", i + 1))
+    );
     for threads in [1usize, 4] {
-        let pooled = run_pool(&scenarios, &SweepOptions::new().threads(threads));
+        let pooled = run_pool(&scenarios, threads);
         assert_eq!(pooled.len(), separate.len());
         for (a, b) in separate.iter().zip(&pooled) {
             assert_eq!(a.name, b.name);
@@ -68,64 +72,4 @@ fn pooled_execution_is_byte_identical_to_per_scenario_runs() {
             );
         }
     }
-}
-
-#[test]
-fn cpu_scale_cache_round_trip_is_invisible() {
-    // The cpu-scale scenario is deliberately not in `all_scenarios`
-    // (the paper-tables golden predates it), so it gets its own cache
-    // and thread-count coverage here.
-    let dir = temp_dir("cpu-scale");
-    let scenario = CpuScaleScenario::capped(Scale::Quick, 32);
-    let opts = SweepOptions::new().cache_dir(&dir);
-    let first = run_scenario(&scenario, &opts);
-    assert!(first.stats.iter().all(|s| !s.cached));
-    let second = run_scenario(&scenario, &opts.clone().threads(4));
-    assert!(
-        second.stats.iter().all(|s| s.cached),
-        "second run must hit on every cell"
-    );
-    assert_eq!(first.outcomes_jsonl, second.outcomes_jsonl);
-    assert_eq!(first.report.render(), second.report.render());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_round_trip_is_invisible_and_scale_invalidates() {
-    let dir = temp_dir("cache");
-    let quick = NetBwScenario {
-        scale: Scale::Quick,
-    };
-    let opts = SweepOptions::new().cache_dir(&dir);
-
-    let first = run_scenario(&quick, &opts);
-    assert!(
-        first.stats.iter().all(|s| !s.cached),
-        "first run must miss an empty cache"
-    );
-    let second = run_scenario(&quick, &opts);
-    assert!(
-        second.stats.iter().all(|s| s.cached),
-        "second run must hit on every cell"
-    );
-    assert_eq!(first.outcomes_jsonl, second.outcomes_jsonl);
-    assert_eq!(
-        first.report.format(),
-        second.report.format(),
-        "cached outcomes must render identically"
-    );
-
-    // Same cell keys, different fingerprints: the full-scale variant
-    // must ignore the quick-scale entries.
-    let full = NetBwScenario { scale: Scale::Full };
-    let third = run_scenario(&full, &opts);
-    assert!(
-        third.stats.iter().all(|s| !s.cached),
-        "changed scale must invalidate every cell"
-    );
-    let fourth = run_scenario(&full, &opts);
-    assert!(fourth.stats.iter().all(|s| s.cached));
-    assert_eq!(third.outcomes_jsonl, fourth.outcomes_jsonl);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
