@@ -40,7 +40,10 @@ fn main() {
     micro_targets::bench_fault_path(&mut c);
     micro_targets::bench_fault_resident(&mut c);
     micro_targets::bench_swapin_batch(&mut c);
+    let chrome_events = micro_targets::bench_chrome_render(&mut c);
     let micro = take_measurements();
+    // Deterministic operation counts recorded beside a micro's ns.
+    let ops = [("export/chrome_trace_render", chrome_events)];
 
     // End-to-end: every quick-scale scenario, serial — the
     // `paper_tables --quick` cells, except that the overload matrix
@@ -82,7 +85,7 @@ fn main() {
         );
     }
 
-    let json = render_json(&micro, &outputs, total_s, bare_s, instrumented_s);
+    let json = render_json(&micro, &ops, &outputs, total_s, bare_s, instrumented_s);
     std::fs::write(&out_path, json).expect("write BENCH_core.json");
     eprintln!("wrote {out_path}");
 
@@ -235,6 +238,7 @@ fn baseline_total(text: &str) -> Option<f64> {
 
 fn render_json(
     micro: &[Measurement],
+    ops: &[(&str, u64)],
     outputs: &[SweepOutput],
     total_s: f64,
     bare_s: f64,
@@ -253,9 +257,15 @@ fn render_json(
     );
     j.push_str("  \"micro\": {\n");
     for (i, m) in micro.iter().enumerate() {
+        // A micro with a deterministic op count also records it, so
+        // ns/op can be derived from the file alone.
+        let events = match ops.iter().find(|(name, _)| *name == m.name) {
+            Some((_, n)) => format!(", \"events\": {n}"),
+            None => String::new(),
+        };
         let _ = writeln!(
             j,
-            "    \"{}\": {{\"median_ns\": {}, \"min_ns\": {}, \"samples\": {}}}{}",
+            "    \"{}\": {{\"median_ns\": {}, \"min_ns\": {}, \"samples\": {}{events}}}{}",
             m.name,
             m.median_ns,
             m.min_ns,

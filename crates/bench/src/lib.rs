@@ -25,9 +25,11 @@ pub use experiments::Scale;
 /// path.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
-    use event_sim::{EventQueue, SimDuration, SimTime};
+    use event_sim::{ArrivalProcess, EventQueue, SimDuration, SimTime};
+    use smp_kernel::export::chrome_trace_json;
     use smp_kernel::{Kernel, MachineConfig, Program};
     use spu_core::{Scheme, SpuId, SpuSet};
+    use workloads::{PmakeConfig, ServiceConfig};
 
     /// Timing-wheel churn: 1k schedules followed by a full drain.
     pub fn bench_event_queue(c: &mut Criterion) {
@@ -175,5 +177,53 @@ pub mod micro_targets {
                 black_box(k.run(SimTime::from_secs(60)).end_time)
             })
         });
+    }
+
+    /// Chrome trace rendering alone. A fixed seeded run with every
+    /// observer on (attribution, 10 ms sampling, SLO, trace) — a memory
+    /// hog over its share, a pmake job and a cache-reading request
+    /// stream — is simulated once, untimed; each iteration renders only
+    /// its Chrome trace-event document. Returns the number of events
+    /// one render writes, so ns per rendered event can be derived.
+    pub fn bench_chrome_render(c: &mut Criterion) -> u64 {
+        let cfg = MachineConfig::builder()
+            .topology(4, 16, 2)
+            .scheme(Scheme::PIso)
+            .build()
+            .unwrap();
+        let mut k = Kernel::new(cfg, SpuSet::equal_users(3));
+        k.enable_attribution();
+        k.enable_sampling(SimDuration::from_millis(10));
+        k.enable_slo(SimDuration::from_millis(50));
+        k.enable_trace(1 << 17);
+        let hog = Program::builder("hog")
+            .alloc(4500)
+            .compute(SimDuration::from_millis(40), 4500)
+            .build();
+        k.spawn_at(SpuId::user(0), hog, Some("hog"), SimTime::ZERO);
+        let pmake = PmakeConfig::pmake8().build(&mut k, 1);
+        k.spawn_at(SpuId::user(1), pmake, Some("pmake"), SimTime::ZERO);
+        let plan = ArrivalProcess::Poisson {
+            rate_per_sec: 200.0,
+        }
+        .generate(1, SimTime::from_secs(1));
+        let svc = ServiceConfig {
+            cpu_burst: SimDuration::from_millis(2),
+            table_pages: 512,
+            deadline: SimDuration::from_millis(50),
+            ..ServiceConfig::default()
+        };
+        svc.spawn_stream(&mut k, SpuId::user(2), 1, &plan, "web");
+        let m = k.run(SimTime::from_secs(600));
+        assert!(m.completed, "chrome-render fixture hit its cap");
+        // One event per line between the document's header and footer.
+        let events = chrome_trace_json(k.trace(), k.spus(), &m.obsv)
+            .lines()
+            .count() as u64
+            - 2;
+        c.bench_function("export/chrome_trace_render", |b| {
+            b.iter(|| black_box(chrome_trace_json(black_box(k.trace()), k.spus(), &m.obsv).len()))
+        });
+        events
     }
 }

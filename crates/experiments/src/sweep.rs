@@ -568,22 +568,137 @@ pub fn bench_scenarios(scale: Scale) -> Vec<Box<dyn AnyScenario>> {
     v
 }
 
-/// Parses `--threads N` from a command line (the examples' shared
-/// convention); defaults to 1 (serial).
-pub fn threads_from_args(args: &[String]) -> usize {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--threads" {
-            if let Some(n) = iter.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse() {
-                return n;
-            }
+// ---------------------------------------------------------------------------
+// Example command lines
+// ---------------------------------------------------------------------------
+
+/// A command-line flag an example accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// A bare switch, e.g. `--quick`.
+    Switch(&'static str),
+    /// A non-negative count, as the next argument or after `=`.
+    Count(&'static str),
+    /// Free text (e.g. a path), as the next argument or after `=`.
+    Text(&'static str),
+}
+
+impl Flag {
+    /// The flag as typed, e.g. `"--threads"`.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Flag::Switch(n) | Flag::Count(n) | Flag::Text(n) => n,
         }
     }
-    1
+}
+
+/// `--quick`: run at [`Scale::Quick`] (see [`Cli::scale`]).
+pub const QUICK: Flag = Flag::Switch("--quick");
+/// `--threads N`: sweep worker-pool size (see [`Cli::threads`]).
+pub const THREADS: Flag = Flag::Count("--threads");
+/// The flags every experiment example takes.
+pub const STANDARD: [Flag; 2] = [QUICK, THREADS];
+
+/// A parsed example command line: the flags given, in order, with
+/// their values (`None` for switches). Counts were checked at parse
+/// time.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Cli {
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Cli {
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == flag)
+    }
+
+    /// The last value given for `flag`.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The last count given for the [`Flag::Count`] `flag`.
+    pub fn count(&self, flag: &str) -> Option<usize> {
+        self.value(flag)
+            .map(|v| v.parse().expect("counts are checked when parsed"))
+    }
+
+    /// [`Scale::Quick`] with `--quick`, else [`Scale::Full`].
+    pub fn scale(&self) -> Scale {
+        if self.has(QUICK.name()) {
+            Scale::Quick
+        } else {
+            Scale::Full
+        }
+    }
+
+    /// The `--threads` count; 1 (serial) by default.
+    pub fn threads(&self) -> usize {
+        self.count(THREADS.name()).unwrap_or(1)
+    }
+}
+
+/// Parses an example's arguments (program name excluded) against the
+/// `flags` it accepts. Every argument must be one of them; a switch
+/// takes no value, and a count must parse as one.
+pub fn parse_args(args: &[String], flags: &[Flag]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let unknown = || format!("unknown argument {arg:?}");
+        let flag = *flags
+            .iter()
+            .find(|f| f.name() == name)
+            .ok_or_else(unknown)?;
+        let value = match flag {
+            Flag::Switch(_) if inline.is_some() => return Err(unknown()),
+            Flag::Switch(_) => None,
+            Flag::Count(_) | Flag::Text(_) => Some(
+                inline
+                    .or_else(|| iter.next().map(String::as_str))
+                    .ok_or(format!("{name} needs a value"))?,
+            ),
+        };
+        if let (Flag::Count(_), Some(v)) = (flag, value) {
+            v.parse::<usize>()
+                .map_err(|_| format!("{name} expects a count, not {v:?}"))?;
+        }
+        cli.given.push((flag.name(), value.map(str::to_string)));
+    }
+    Ok(cli)
+}
+
+/// The usage line for example `name` taking `flags`.
+pub fn usage(name: &str, flags: &[Flag]) -> String {
+    let mut line = format!("usage: {name}");
+    for f in flags {
+        match f {
+            Flag::Switch(n) => line.push_str(&format!(" [{n}]")),
+            Flag::Count(n) => line.push_str(&format!(" [{n} N]")),
+            Flag::Text(n) => line.push_str(&format!(" [{n} VALUE]")),
+        }
+    }
+    line
+}
+
+/// Parses the process's arguments for example `name`; on a bad
+/// command line prints the error and the usage line to stderr and
+/// exits with status 2.
+pub fn args_or_exit(name: &str, flags: &[Flag]) -> Cli {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&args, flags).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}\n{}", usage(name, flags));
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -673,11 +788,55 @@ mod tests {
     }
 
     #[test]
-    fn threads_from_args_parses_both_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&args(&["--threads", "4"])), 4);
-        assert_eq!(threads_from_args(&args(&["--threads=8"])), 8);
-        assert_eq!(threads_from_args(&args(&["--quick"])), 1);
-        assert_eq!(threads_from_args(&args(&["--threads", "bogus"])), 1);
+    fn threads_parses_both_forms_and_rejects_garbage() {
+        let parse = |v: &[&str]| {
+            parse_args(
+                &v.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+                &STANDARD,
+            )
+        };
+        assert_eq!(parse(&["--threads", "4"]).unwrap().threads(), 4);
+        assert_eq!(parse(&["--threads=8"]).unwrap().threads(), 8);
+        assert_eq!(parse(&["--quick"]).unwrap().threads(), 1);
+        assert_eq!(parse(&["--quick"]).unwrap().scale(), Scale::Quick);
+        assert_eq!(parse(&[]).unwrap().scale(), Scale::Full);
+        for bad in [
+            &["--threads", "bogus"][..],
+            &["--threads=bogus"],
+            &["--threads"],
+            &["--threads", "-1"],
+            &["--quik"],
+            &["--quick=1"],
+            &["quick"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn example_flags_extend_the_standard_set() {
+        let flags = [
+            QUICK,
+            THREADS,
+            Flag::Switch("--cpu-scale"),
+            Flag::Text("--out"),
+        ];
+        let args = [
+            "--cpu-scale",
+            "--out",
+            "a.jsonl",
+            "--out=b.jsonl",
+            "--threads",
+            "2",
+        ];
+        let cli = parse_args(&args.map(String::from), &flags).unwrap();
+        assert!(cli.has("--cpu-scale"));
+        assert_eq!(cli.value("--out"), Some("b.jsonl"));
+        assert_eq!(cli.threads(), 2);
+        assert!(parse_args(&["--cpu-scale".to_string()], &STANDARD).is_err());
+        assert_eq!(
+            usage("demo", &flags),
+            "usage: demo [--quick] [--threads N] [--cpu-scale] [--out VALUE]"
+        );
     }
 }

@@ -13,95 +13,217 @@
 //!   complete events for on-CPU spans (pid = SPU, tid = CPU), `"i"`
 //!   instants for faults, I/O issues and policy runs, and `"C"` counter
 //!   tracks from the per-SPU series.
+//!
+//! Each exporter is a private `write_*` core that streams its document
+//! into one caller-owned `String` through [`std::fmt::Write`]; the
+//! public `fn … -> String` functions are thin wrappers that hand it a
+//! fresh buffer. Numbers and strings are written in place by the
+//! private `Num` and `Esc` `Display` adapters (std `Display` for
+//! numbers), so no line allocates per field. [`metrics_jsonl`] writes
+//! its series, interference, SLO and request sections straight into its
+//! own buffer, and [`chrome_trace_json`] writes every event into one
+//! buffer behind a `",\n"` separator.
+//!
+//! The `slo_sample` lines come from the kernel's incremental SLO tally:
+//! each sampling tick settles finished jobs once and visits only the
+//! jobs not yet settled, so leaving SLO sampling on costs O(unsettled
+//! jobs) per tick, not O(SPUs × jobs).
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
-use event_sim::LogHistogram;
-use spu_core::SpuSet;
+use event_sim::{LogHistogram, SimTime};
+use spu_core::{SpuId, SpuSet};
 
+use crate::locks::LockId;
 use crate::metrics::RunMetrics;
 use crate::obsv::interference::{InterferenceReport, LockClass};
 use crate::obsv::ObsvReport;
+use crate::process::Pid;
 use crate::trace::{Trace, TraceEvent};
+
+/// Writes the string escaped for a JSON string literal (quotes not
+/// included), in place.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Every escaped character is ASCII, so a byte scan finds them
+        // and the unescaped runs between them are whole UTF-8 slices.
+        let s = self.0;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                b if b < 0x20 => {
+                    f.write_str(&s[run..i])?;
+                    write!(f, "\\u{b:04x}")?;
+                    run = i + 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            f.write_str(&s[run..i])?;
+            f.write_str(esc)?;
+            run = i + 1;
+        }
+        f.write_str(&s[run..])
+    }
+}
+
+/// Writes a JSON number token in place: std `Display` for finite
+/// values, `null` otherwise.
+struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
+/// Runs a `write_*` core into a fresh buffer. The buffer grows by
+/// amortized doubling: pre-sizing it from per-line estimates measured
+/// no faster and raised the peak resident memory of a fully observed
+/// run, since the estimates overshoot.
+fn render(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    write(&mut out).expect("writing to a String cannot fail");
+    out
+}
 
 /// Escapes a string for a JSON string literal (quotes not included).
 pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    Esc(s).to_string()
 }
 
 /// A JSON number token for `x`; non-finite values become `null`.
 pub fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    Num(x).to_string()
+}
+
+/// A histogram's fields after the opening brace, closing brace included.
+fn write_histogram_fields(out: &mut String, name: &str, h: &LogHistogram) -> fmt::Result {
+    let pct = |p: f64| Num(h.percentile(p).unwrap_or(f64::NAN));
+    write!(
+        out,
+        "\"name\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
+        Esc(name),
+        h.count(),
+        Num(h.mean()),
+        pct(50.0),
+        pct(95.0),
+        pct(99.0),
+        Num(h.max()),
+    )
 }
 
 /// One `{"name":…,"count":…,"mean":…,"p50":…,"p95":…,"p99":…,"max":…}`
 /// object (no trailing newline) for a latency histogram, values in
 /// seconds.
 pub fn histogram_json(name: &str, h: &LogHistogram) -> String {
-    let pct = |p: f64| match h.percentile(p) {
-        Some(v) => json_num(v),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"name\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-        json_escape(name),
-        h.count(),
-        json_num(h.mean()),
-        pct(50.0),
-        pct(95.0),
-        pct(99.0),
-        json_num(h.max()),
-    )
+    render(|out| {
+        out.push('{');
+        write_histogram_fields(out, name, h)
+    })
+}
+
+fn write_series(out: &mut String, report: &ObsvReport) -> fmt::Result {
+    for s in &report.series {
+        for p in &s.samples {
+            writeln!(
+                out,
+                "{{\"type\":\"sample\",\"spu\":\"{}\",\"spu_index\":{},\"resource\":\"{}\",\
+                 \"t_secs\":{},\"entitled\":{},\"allowed\":{},\"used\":{}}}",
+                Esc(&s.spu_name),
+                s.spu.index(),
+                s.resource.as_str(),
+                Num(p.at.as_secs_f64()),
+                Num(p.entitled),
+                Num(p.allowed),
+                Num(p.used),
+            )?;
+        }
+    }
+    Ok(())
 }
 
 /// The per-SPU resource series as JSONL, one sample per line.
 pub fn series_jsonl(report: &ObsvReport) -> String {
-    let mut out = String::new();
-    for s in &report.series {
-        for p in &s.samples {
-            out.push_str(&format!(
-                "{{\"type\":\"sample\",\"spu\":\"{}\",\"spu_index\":{},\"resource\":\"{}\",\
-                 \"t_secs\":{},\"entitled\":{},\"allowed\":{},\"used\":{}}}\n",
-                json_escape(&s.spu_name),
-                s.spu.index(),
-                s.resource.as_str(),
-                json_num(p.at.as_secs_f64()),
-                json_num(p.entitled),
-                json_num(p.allowed),
-                json_num(p.used),
-            ));
-        }
+    render(|out| write_series(out, report))
+}
+
+fn write_counters(out: &mut String, report: &ObsvReport) -> fmt::Result {
+    for (name, value) in report.counters.iter() {
+        writeln!(
+            out,
+            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
+            Esc(name),
+            value
+        )?;
     }
-    out
+    Ok(())
 }
 
 /// The counter registry as JSONL, one counter per line, in name order.
 pub fn counters_jsonl(report: &ObsvReport) -> String {
-    let mut out = String::new();
-    for (name, value) in report.counters.iter() {
-        out.push_str(&format!(
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}\n",
-            json_escape(name),
-            value
-        ));
+    render(|out| write_counters(out, report))
+}
+
+/// The non-zero lock-hold entries of `r` as `(class, SPU index, nanos)`,
+/// class-major.
+fn lock_holds(r: &InterferenceReport) -> impl Iterator<Item = (LockClass, usize, u64)> + '_ {
+    let n = r.matrix.spu_count();
+    LockClass::ALL.into_iter().flat_map(move |class| {
+        (0..n).filter_map(move |i| {
+            let nanos = r
+                .lock_hold_nanos
+                .get(class.index() * n + i)
+                .copied()
+                .unwrap_or(0);
+            (nanos > 0).then_some((class, i, nanos))
+        })
+    })
+}
+
+fn write_interference(out: &mut String, report: &ObsvReport) -> fmt::Result {
+    let r = &report.interference;
+    let name = |i: usize| r.spu_names.get(i).map(String::as_str).unwrap_or("?");
+    for (ch, w, h, amount, events) in r.matrix.nonzero() {
+        writeln!(
+            out,
+            "{{\"type\":\"interference\",\"channel\":\"{}\",\"unit\":\"{}\",\
+             \"waiter\":\"{}\",\"waiter_index\":{},\"holder\":\"{}\",\"holder_index\":{},\
+             \"amount\":{},\"events\":{}}}",
+            ch.as_str(),
+            ch.unit(),
+            Esc(name(w)),
+            w,
+            Esc(name(h)),
+            h,
+            amount,
+            events
+        )?;
     }
-    out
+    for (class, i, nanos) in lock_holds(r) {
+        writeln!(
+            out,
+            "{{\"type\":\"lock_hold\",\"class\":\"{}\",\"spu\":\"{}\",\
+             \"spu_index\":{},\"nanos\":{}}}",
+            class.as_str(),
+            Esc(name(i)),
+            i,
+            nanos
+        )?;
+    }
+    Ok(())
 }
 
 /// The cross-SPU interference matrix as JSONL: one `interference` line
@@ -109,95 +231,59 @@ pub fn counters_jsonl(report: &ObsvReport) -> String {
 /// class × SPU with non-zero hold time. Empty when attribution was
 /// disabled, so exports stay byte-identical without it.
 pub fn interference_jsonl(report: &ObsvReport) -> String {
-    let r = &report.interference;
-    let mut out = String::new();
-    let name = |i: usize| r.spu_names.get(i).map(String::as_str).unwrap_or("?");
-    for (ch, w, h, amount, events) in r.matrix.nonzero() {
-        out.push_str(&format!(
-            "{{\"type\":\"interference\",\"channel\":\"{}\",\"unit\":\"{}\",\
-             \"waiter\":\"{}\",\"waiter_index\":{},\"holder\":\"{}\",\"holder_index\":{},\
-             \"amount\":{},\"events\":{}}}\n",
-            ch.as_str(),
-            ch.unit(),
-            json_escape(name(w)),
-            w,
-            json_escape(name(h)),
-            h,
-            amount,
-            events
-        ));
-    }
-    let n = r.matrix.spu_count();
-    for class in LockClass::ALL {
-        for i in 0..n {
-            let nanos = r
-                .lock_hold_nanos
-                .get(class.index() * n + i)
-                .copied()
-                .unwrap_or(0);
-            if nanos > 0 {
-                out.push_str(&format!(
-                    "{{\"type\":\"lock_hold\",\"class\":\"{}\",\"spu\":\"{}\",\
-                     \"spu_index\":{},\"nanos\":{}}}\n",
-                    class.as_str(),
-                    json_escape(name(i)),
-                    i,
-                    nanos
-                ));
-            }
+    render(|out| write_interference(out, report))
+}
+
+fn write_slo(out: &mut String, report: &ObsvReport) -> fmt::Result {
+    let r = &report.slo;
+    for row in &r.per_spu {
+        writeln!(
+            out,
+            "{{\"type\":\"slo\",\"spu\":\"{}\",\"spu_index\":{},\"target_secs\":{},\
+             \"jobs\":{},\"met\":{},\"violated\":{},\"p50_secs\":{},\"p99_secs\":{},\
+             \"p999_secs\":{},\"goodput_per_sec\":{},\"violation_frac\":{}}}",
+            Esc(&row.name),
+            row.spu.index(),
+            Num(r.target.as_secs_f64()),
+            row.jobs,
+            row.met,
+            row.violated,
+            Num(row.p50),
+            Num(row.p99),
+            Num(row.p999),
+            Num(row.goodput),
+            Num(row.violation_frac)
+        )?;
+        for s in &row.samples {
+            writeln!(
+                out,
+                "{{\"type\":\"slo_sample\",\"spu_index\":{},\"t_secs\":{},\
+                 \"completed\":{},\"violated\":{}}}",
+                row.spu.index(),
+                Num(s.at.as_secs_f64()),
+                s.completed,
+                s.violated
+            )?;
         }
     }
-    out
+    Ok(())
 }
 
 /// The per-SPU SLO table as JSONL: one `slo` line per SPU that ran
 /// tracked jobs, plus one `slo_sample` line per sampling instant. Empty
 /// when the tracker was disabled or no jobs ran.
 pub fn slo_jsonl(report: &ObsvReport) -> String {
-    let r = &report.slo;
-    let mut out = String::new();
-    for row in &r.per_spu {
-        out.push_str(&format!(
-            "{{\"type\":\"slo\",\"spu\":\"{}\",\"spu_index\":{},\"target_secs\":{},\
-             \"jobs\":{},\"met\":{},\"violated\":{},\"p50_secs\":{},\"p99_secs\":{},\
-             \"p999_secs\":{},\"goodput_per_sec\":{},\"violation_frac\":{}}}\n",
-            json_escape(&row.name),
-            row.spu.index(),
-            json_num(r.target.as_secs_f64()),
-            row.jobs,
-            row.met,
-            row.violated,
-            json_num(row.p50),
-            json_num(row.p99),
-            json_num(row.p999),
-            json_num(row.goodput),
-            json_num(row.violation_frac)
-        ));
-        for s in &row.samples {
-            out.push_str(&format!(
-                "{{\"type\":\"slo_sample\",\"spu_index\":{},\"t_secs\":{},\
-                 \"completed\":{},\"violated\":{}}}\n",
-                row.spu.index(),
-                json_num(s.at.as_secs_f64()),
-                s.completed,
-                s.violated
-            ));
-        }
-    }
-    out
+    render(|out| write_slo(out, report))
 }
 
-/// The per-SPU admission/shedding table as JSONL: one `requests` line
-/// per SPU that saw request traffic. Empty when admission control was
-/// off or no request ever arrived, so ordinary exports are untouched.
-pub fn requests_jsonl(report: &ObsvReport) -> String {
-    let mut out = String::new();
+fn write_requests(out: &mut String, report: &ObsvReport) -> fmt::Result {
     for r in &report.requests.per_spu {
-        out.push_str(&format!(
+        writeln!(
+            out,
             "{{\"type\":\"requests\",\"spu\":\"{}\",\"spu_index\":{},\"arrivals\":{},\
              \"admitted\":{},\"shed\":{},\"expired\":{},\"timeouts\":{},\"retries\":{},\
-             \"brownout_skips\":{},\"peak_queue\":{}}}\n",
-            json_escape(&r.name),
+             \"brownout_skips\":{},\"peak_queue\":{}}}",
+            Esc(&r.name),
             r.spu.index(),
             r.arrivals,
             r.admitted,
@@ -207,29 +293,47 @@ pub fn requests_jsonl(report: &ObsvReport) -> String {
             r.retries,
             r.brownout_skips,
             r.peak_queue
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
-/// The interference matrix alone as one JSON document — the artifact a
-/// CI run uploads from the lock-leakage experiment. Lists SPU names,
-/// every non-zero cell, and the non-zero lock-hold entries.
-pub fn interference_matrix_json(r: &InterferenceReport) -> String {
-    let mut out = String::from("{\"spus\":[");
-    let names: Vec<String> = r
-        .spu_names
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    out.push_str(&names.join(","));
+/// The per-SPU admission/shedding table as JSONL: one `requests` line
+/// per SPU that saw request traffic. Empty when admission control was
+/// off or no request ever arrived, so ordinary exports are untouched.
+pub fn requests_jsonl(report: &ObsvReport) -> String {
+    render(|out| write_requests(out, report))
+}
+
+/// Writes `items` through `each`, separated by `sep`.
+fn write_joined<T>(
+    out: &mut String,
+    sep: &str,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        each(out, item)?;
+    }
+    Ok(())
+}
+
+fn write_interference_matrix(out: &mut String, r: &InterferenceReport) -> fmt::Result {
+    out.push_str("{\"spus\":[");
+    write_joined(out, ",", &r.spu_names, |out, n| {
+        write!(out, "\"{}\"", Esc(n))
+    })?;
     out.push_str("],\"cells\":[");
-    let cells: Vec<String> = r
-        .matrix
-        .nonzero()
-        .into_iter()
-        .map(|(ch, w, h, amount, events)| {
-            format!(
+    write_joined(
+        out,
+        ",",
+        r.matrix.nonzero(),
+        |out, (ch, w, h, amount, events)| {
+            write!(
+                out,
                 "{{\"channel\":\"{}\",\"unit\":\"{}\",\"waiter\":{},\"holder\":{},\
                  \"amount\":{},\"events\":{}}}",
                 ch.as_str(),
@@ -239,72 +343,275 @@ pub fn interference_matrix_json(r: &InterferenceReport) -> String {
                 amount,
                 events
             )
-        })
-        .collect();
-    out.push_str(&cells.join(","));
+        },
+    )?;
     out.push_str("],\"lock_hold\":[");
-    let n = r.matrix.spu_count();
-    let mut holds: Vec<String> = Vec::new();
-    for class in LockClass::ALL {
-        for i in 0..n {
-            let nanos = r
-                .lock_hold_nanos
-                .get(class.index() * n + i)
-                .copied()
-                .unwrap_or(0);
-            if nanos > 0 {
-                holds.push(format!(
-                    "{{\"class\":\"{}\",\"spu\":{},\"nanos\":{}}}",
-                    class.as_str(),
-                    i,
-                    nanos
-                ));
-            }
-        }
-    }
-    out.push_str(&holds.join(","));
+    write_joined(out, ",", lock_holds(r), |out, (class, i, nanos)| {
+        write!(
+            out,
+            "{{\"class\":\"{}\",\"spu\":{},\"nanos\":{}}}",
+            class.as_str(),
+            i,
+            nanos
+        )
+    })?;
     out.push_str("]}\n");
-    out
+    Ok(())
+}
+
+/// The interference matrix alone as one JSON document — the artifact a
+/// CI run uploads from the lock-leakage experiment. Lists SPU names,
+/// every non-zero cell, and the non-zero lock-hold entries.
+pub fn interference_matrix_json(r: &InterferenceReport) -> String {
+    render(|out| write_interference_matrix(out, r))
+}
+
+fn write_metrics(out: &mut String, m: &RunMetrics) -> fmt::Result {
+    writeln!(
+        out,
+        "{{\"type\":\"run\",\"end_secs\":{},\"completed\":{},\"jobs\":{}}}",
+        Num(m.end_time.as_secs_f64()),
+        m.completed,
+        m.jobs.len()
+    )?;
+    for j in &m.jobs {
+        let resp = j.response().map_or(f64::NAN, |d| d.as_secs_f64());
+        writeln!(
+            out,
+            "{{\"type\":\"job\",\"label\":\"{}\",\"spu\":{},\"started_secs\":{},\"response_secs\":{}}}",
+            Esc(&j.label),
+            j.spu.index(),
+            Num(j.started.as_secs_f64()),
+            Num(resp)
+        )?;
+    }
+    write_counters(out, &m.obsv)?;
+    for (name, h) in m.obsv.latency.named() {
+        out.push_str("{\"type\":\"histogram\",");
+        write_histogram_fields(out, name, h)?;
+        out.push('\n');
+    }
+    write_series(out, &m.obsv)?;
+    // Interference, SLO and request lines only appear when their
+    // trackers were enabled, keeping ordinary output byte-identical.
+    write_interference(out, &m.obsv)?;
+    write_slo(out, &m.obsv)?;
+    write_requests(out, &m.obsv)
 }
 
 /// A full run as JSONL: run header, jobs, counters, latency histograms,
 /// then every resource sample.
 pub fn metrics_jsonl(m: &RunMetrics) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"type\":\"run\",\"end_secs\":{},\"completed\":{},\"jobs\":{}}}\n",
-        json_num(m.end_time.as_secs_f64()),
-        m.completed,
-        m.jobs.len()
-    ));
-    for j in &m.jobs {
-        let resp = match j.response() {
-            Some(d) => json_num(d.as_secs_f64()),
-            None => "null".to_string(),
+    render(|out| write_metrics(out, m))
+}
+
+/// Microseconds of simulated time, the Chrome trace's time unit.
+fn us(t: SimTime) -> f64 {
+    t.as_nanos() as f64 / 1000.0
+}
+
+/// An on-CPU span not yet closed: start, process, SPU, loaned flag.
+type OpenSpan = (SimTime, Pid, SpuId, bool);
+
+/// The Chrome trace's event array: writes the `",\n"` separator before
+/// every event but the first.
+struct Events<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Events<'_> {
+    /// The buffer, positioned for the next event.
+    fn next(&mut self) -> &mut String {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        self.out
+    }
+
+    /// Closes the on-CPU span in `slot`, if any, at `end`.
+    fn close_span(&mut self, slot: &mut Option<OpenSpan>, cpu: usize, end: SimTime) -> fmt::Result {
+        let Some((start, pid, spu, loaned)) = slot.take() else {
+            return Ok(());
         };
-        out.push_str(&format!(
-            "{{\"type\":\"job\",\"label\":\"{}\",\"spu\":{},\"started_secs\":{},\"response_secs\":{}}}\n",
-            json_escape(&j.label),
-            j.spu.index(),
-            json_num(j.started.as_secs_f64()),
-            resp
-        ));
+        write!(
+            self.next(),
+            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
+             \"name\":\"pid{}\",\"args\":{{\"loaned\":{}}}}}",
+            spu.index(),
+            cpu,
+            Num(us(start)),
+            Num(us(end) - us(start)),
+            pid.0,
+            loaned
+        )
     }
-    out.push_str(&counters_jsonl(&m.obsv));
-    for (name, h) in m.obsv.latency.named() {
-        out.push_str("{\"type\":\"histogram\",");
-        // Splice the histogram object's fields into this line.
-        let body = histogram_json(name, h);
-        out.push_str(&body[1..]);
-        out.push('\n');
+
+    /// A lock-wait span from `start` to `end`; `holder` is `None` for a
+    /// wait still open when the trace ends.
+    fn lock_wait(
+        &mut self,
+        (start, spu, lock): (SimTime, SpuId, LockId),
+        end: SimTime,
+        pid: Pid,
+        holder: Option<SpuId>,
+    ) -> fmt::Result {
+        let out = self.next();
+        write!(
+            out,
+            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
+             \"name\":\"lock-wait:{}\",\"args\":{{\"pid\":{},\"holder\":",
+            spu.index(),
+            1000 + pid.0,
+            Num(us(start)),
+            Num(us(end) - us(start)),
+            LockClass::of(lock).as_str(),
+            pid.0,
+        )?;
+        match holder {
+            Some(h) => write!(out, "{}}}}}", h.index()),
+            None => out.write_str("null}}"),
+        }
     }
-    out.push_str(&series_jsonl(&m.obsv));
-    // Interference, SLO and request lines only appear when their
-    // trackers were enabled, keeping ordinary output byte-identical.
-    out.push_str(&interference_jsonl(&m.obsv));
-    out.push_str(&slo_jsonl(&m.obsv));
-    out.push_str(&requests_jsonl(&m.obsv));
-    out
+}
+
+fn write_chrome_trace(
+    out: &mut String,
+    trace: &Trace,
+    spus: &SpuSet,
+    report: &ObsvReport,
+) -> fmt::Result {
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    let mut events = Events { out, first: true };
+    // Process-name metadata, one per SPU.
+    for id in spus.all_ids() {
+        write!(
+            events.next(),
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            id.index(),
+            Esc(&spus.path(id))
+        )?;
+    }
+    // On-CPU spans: Dispatch opens, Preempt/Block (or the next Dispatch
+    // on the same CPU, or end-of-trace) closes.
+    let mut open: Vec<Option<OpenSpan>> = Vec::new();
+    let mut last_at = SimTime::ZERO;
+    // Lock-wait spans: LockWait opens, LockGrant closes. Rendered on a
+    // per-process lane (tid = 1000 + pid) under the waiter's SPU so
+    // they never collide with the CPU rows.
+    let mut lock_waits: BTreeMap<Pid, (SimTime, SpuId, LockId)> = BTreeMap::new();
+    for ev in trace.iter() {
+        last_at = last_at.max(ev.at());
+        match *ev {
+            TraceEvent::Dispatch {
+                at,
+                cpu,
+                pid,
+                spu,
+                loaned,
+            } => {
+                if open.len() <= cpu {
+                    open.resize(cpu + 1, None);
+                }
+                events.close_span(&mut open[cpu], cpu, at)?;
+                open[cpu] = Some((at, pid, spu, loaned));
+            }
+            TraceEvent::Preempt { at, cpu, .. } => {
+                if let Some(slot) = open.get_mut(cpu) {
+                    events.close_span(slot, cpu, at)?;
+                }
+            }
+            TraceEvent::Block { at, pid, .. } => {
+                if let Some(cpu) = open
+                    .iter()
+                    .position(|slot| matches!(slot, Some((_, p, _, _)) if *p == pid))
+                {
+                    events.close_span(&mut open[cpu], cpu, at)?;
+                }
+            }
+            TraceEvent::Fault { at, spu, major } => {
+                write!(
+                    events.next(),
+                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"p\",\
+                     \"name\":\"fault:{}\"}}",
+                    spu.index(),
+                    Num(us(at)),
+                    if major { "major" } else { "minor" }
+                )?;
+            }
+            TraceEvent::IoIssue {
+                at,
+                disk,
+                stream,
+                sectors,
+            } => {
+                write!(
+                    events.next(),
+                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"p\",\
+                     \"name\":\"io:disk{}\",\"args\":{{\"sectors\":{}}}}}",
+                    stream.index(),
+                    Num(us(at)),
+                    disk,
+                    sectors
+                )?;
+            }
+            TraceEvent::PolicyRun { at } => {
+                write!(
+                    events.next(),
+                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":{},\"s\":\"g\",\
+                     \"name\":\"mem-policy\"}}",
+                    Num(us(at))
+                )?;
+            }
+            TraceEvent::FaultInjected { at, label } => {
+                write!(
+                    events.next(),
+                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":{},\"s\":\"g\",\
+                     \"name\":\"fault:{}\"}}",
+                    Num(us(at)),
+                    label
+                )?;
+            }
+            TraceEvent::LockWait { at, pid, spu, lock } => {
+                lock_waits.insert(pid, (at, spu, lock));
+            }
+            TraceEvent::LockGrant {
+                at, pid, holder, ..
+            } => {
+                if let Some(wait) = lock_waits.remove(&pid) {
+                    events.lock_wait(wait, at, pid, Some(holder))?;
+                }
+            }
+            TraceEvent::Wake { .. } => {}
+        }
+    }
+    for (cpu, slot) in open.iter_mut().enumerate() {
+        events.close_span(slot, cpu, last_at)?;
+    }
+    // Waits still open at trace end close there, holder unknown.
+    for (pid, wait) in lock_waits {
+        events.lock_wait(wait, last_at, pid, None)?;
+    }
+    // Counter tracks from the sampler series.
+    for s in &report.series {
+        for p in &s.samples {
+            write!(
+                events.next(),
+                "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"{}\",\
+                 \"args\":{{\"entitled\":{},\"allowed\":{},\"used\":{}}}}}",
+                s.spu.index(),
+                Num(us(p.at)),
+                s.resource.as_str(),
+                Num(p.entitled),
+                Num(p.allowed),
+                Num(p.used)
+            )?;
+        }
+    }
+    out.push_str("\n]}\n");
+    Ok(())
 }
 
 /// Renders the trace and sampler series as a Chrome trace-event JSON
@@ -319,191 +626,7 @@ pub fn metrics_jsonl(m: &RunMetrics) -> String {
 /// the granting holder's SPU index in `args`. Timestamps are
 /// microseconds of simulated time.
 pub fn chrome_trace_json(trace: &Trace, spus: &SpuSet, report: &ObsvReport) -> String {
-    let us = |t: event_sim::SimTime| -> f64 { t.as_nanos() as f64 / 1000.0 };
-    let mut events: Vec<String> = Vec::new();
-    // Process-name metadata, one per SPU.
-    for id in spus.all_ids() {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            id.index(),
-            json_escape(&spus.path(id))
-        ));
-    }
-    // On-CPU spans: Dispatch opens, Preempt/Block (or the next Dispatch
-    // on the same CPU, or end-of-trace) closes.
-    let mut open: Vec<
-        Option<(
-            event_sim::SimTime,
-            crate::process::Pid,
-            spu_core::SpuId,
-            bool,
-        )>,
-    > = Vec::new();
-    let mut last_at = event_sim::SimTime::ZERO;
-    // Lock-wait spans: LockWait opens, LockGrant closes. Rendered on a
-    // per-process lane (tid = 1000 + pid) under the waiter's SPU so
-    // they never collide with the CPU rows.
-    let mut lock_waits: BTreeMap<
-        crate::process::Pid,
-        (event_sim::SimTime, spu_core::SpuId, crate::locks::LockId),
-    > = BTreeMap::new();
-    let lock_wait_span = |start: event_sim::SimTime,
-                          end: event_sim::SimTime,
-                          pid: crate::process::Pid,
-                          spu: spu_core::SpuId,
-                          lock: crate::locks::LockId,
-                          holder: Option<spu_core::SpuId>|
-     -> String {
-        let holder = match holder {
-            Some(h) => format!("{}", h.index()),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-             \"name\":\"lock-wait:{}\",\"args\":{{\"pid\":{},\"holder\":{}}}}}",
-            spu.index(),
-            1000 + pid.0,
-            json_num(start.as_nanos() as f64 / 1000.0),
-            json_num(end.as_nanos() as f64 / 1000.0 - start.as_nanos() as f64 / 1000.0),
-            LockClass::of(lock).as_str(),
-            pid.0,
-            holder
-        )
-    };
-    let close = |events: &mut Vec<String>,
-                 slot: &mut Option<(
-        event_sim::SimTime,
-        crate::process::Pid,
-        spu_core::SpuId,
-        bool,
-    )>,
-                 cpu: usize,
-                 end: event_sim::SimTime| {
-        if let Some((start, pid, spu, loaned)) = slot.take() {
-            events.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-                 \"name\":\"pid{}\",\"args\":{{\"loaned\":{}}}}}",
-                spu.index(),
-                cpu,
-                json_num(us(start)),
-                json_num(us(end) - us(start)),
-                pid.0,
-                loaned
-            ));
-        }
-    };
-    for ev in trace.iter() {
-        last_at = last_at.max(ev.at());
-        match *ev {
-            TraceEvent::Dispatch {
-                at,
-                cpu,
-                pid,
-                spu,
-                loaned,
-            } => {
-                if open.len() <= cpu {
-                    open.resize(cpu + 1, None);
-                }
-                let mut slot = open[cpu].take();
-                close(&mut events, &mut slot, cpu, at);
-                open[cpu] = Some((at, pid, spu, loaned));
-            }
-            TraceEvent::Preempt { at, cpu, .. } => {
-                if let Some(slot) = open.get_mut(cpu) {
-                    let mut s = slot.take();
-                    close(&mut events, &mut s, cpu, at);
-                }
-            }
-            TraceEvent::Block { at, pid, .. } => {
-                for (cpu, slot) in open.iter_mut().enumerate() {
-                    if matches!(slot, Some((_, p, _, _)) if *p == pid) {
-                        let mut s = slot.take();
-                        close(&mut events, &mut s, cpu, at);
-                        break;
-                    }
-                }
-            }
-            TraceEvent::Fault { at, spu, major } => {
-                events.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"fault:{}\"}}",
-                    spu.index(),
-                    json_num(us(at)),
-                    if major { "major" } else { "minor" }
-                ));
-            }
-            TraceEvent::IoIssue {
-                at,
-                disk,
-                stream,
-                sectors,
-            } => {
-                events.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"io:disk{}\",\"args\":{{\"sectors\":{}}}}}",
-                    stream.index(),
-                    json_num(us(at)),
-                    disk,
-                    sectors
-                ));
-            }
-            TraceEvent::PolicyRun { at } => {
-                events.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":{},\"s\":\"g\",\
-                     \"name\":\"mem-policy\"}}",
-                    json_num(us(at))
-                ));
-            }
-            TraceEvent::FaultInjected { at, label } => {
-                events.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":{},\"s\":\"g\",\
-                     \"name\":\"fault:{}\"}}",
-                    json_num(us(at)),
-                    label
-                ));
-            }
-            TraceEvent::LockWait { at, pid, spu, lock } => {
-                lock_waits.insert(pid, (at, spu, lock));
-            }
-            TraceEvent::LockGrant {
-                at, pid, holder, ..
-            } => {
-                if let Some((start, spu, lock)) = lock_waits.remove(&pid) {
-                    events.push(lock_wait_span(start, at, pid, spu, lock, Some(holder)));
-                }
-            }
-            TraceEvent::Wake { .. } => {}
-        }
-    }
-    for (cpu, slot) in open.iter_mut().enumerate() {
-        let mut s = slot.take();
-        close(&mut events, &mut s, cpu, last_at);
-    }
-    // Waits still open at trace end close there, holder unknown.
-    for (pid, (start, spu, lock)) in std::mem::take(&mut lock_waits) {
-        events.push(lock_wait_span(start, last_at, pid, spu, lock, None));
-    }
-    // Counter tracks from the sampler series.
-    for s in &report.series {
-        for p in &s.samples {
-            events.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"{}\",\
-                 \"args\":{{\"entitled\":{},\"allowed\":{},\"used\":{}}}}}",
-                s.spu.index(),
-                json_num(us(p.at)),
-                s.resource.as_str(),
-                json_num(p.entitled),
-                json_num(p.allowed),
-                json_num(p.used)
-            ));
-        }
-    }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    render(|out| write_chrome_trace(out, trace, spus, report))
 }
 
 #[cfg(test)]

@@ -31,9 +31,9 @@ use crate::fs::{FileId, FileSystem};
 use crate::io::{IoPurpose, RetryState};
 use crate::locks::LockTable;
 use crate::metrics::{JobRecord, RunMetrics};
-use crate::obsv::interference::{nearest_rank, Attribution, SloReport, SloSample, SpuSlo};
+use crate::obsv::interference::{nearest_rank, Attribution, SloReport, SpuSlo};
 use crate::obsv::{CounterId, CounterRegistry, LatencyStats, ObsvReport, SampleSeries};
-use crate::policy::FaultCounters;
+use crate::policy::{FaultCounters, SloTally};
 use crate::process::{BlockReason, JobId, Pid, ProcState, Process};
 use crate::program::{BarrierId, Program};
 use crate::sched::{ProcTable, Scheduler};
@@ -120,9 +120,10 @@ pub struct Kernel {
     /// SLO response-time target, `None` until
     /// [`enable_slo`](Self::enable_slo).
     pub(crate) slo_target: Option<SimDuration>,
-    /// Cumulative per-SPU SLO samples (dense index order), filled by the
-    /// sampler when both the SLO tracker and sampling are enabled.
-    pub(crate) slo_samples: Vec<Vec<SloSample>>,
+    /// Per-SPU SLO sampling state (dense index order), empty until
+    /// [`enable_slo`](Self::enable_slo); samples are taken when
+    /// sampling is enabled too.
+    pub(crate) slo: Vec<SloTally>,
     // --- faults & recovery ------------------------------------------------
     /// Retry state per erroring request tag.
     pub(crate) retries: FastMap<u64, RetryState>,
@@ -332,7 +333,7 @@ impl Kernel {
             sched_counts: SchedCounters::default(),
             attribution: None,
             slo_target: None,
-            slo_samples: Vec::new(),
+            slo: Vec::new(),
             retries: FastMap::default(),
             errors: Vec::new(),
             error_count: 0,
@@ -464,7 +465,18 @@ impl Kernel {
     pub fn enable_slo(&mut self, target: SimDuration) {
         assert!(!target.is_zero(), "SLO target must be positive");
         self.slo_target = Some(target);
-        self.slo_samples = vec![Vec::new(); self.spus.total_count()];
+        self.slo = vec![SloTally::default(); self.spus.total_count()];
+        for idx in 0..self.jobs.len() as u32 {
+            self.track_slo(idx);
+        }
+    }
+
+    /// Hands job `idx` to its SPU's SLO tally, if the tracker is on.
+    fn track_slo(&mut self, idx: u32) {
+        let spu = self.jobs[idx as usize].spu;
+        if let Some(tally) = self.slo.get_mut(spu.index()) {
+            tally.track(&self.jobs, idx);
+        }
     }
 
     /// Creates a file on `disk` (see [`FileSystem::create`]).
@@ -494,6 +506,7 @@ impl Kernel {
                 deadline: None,
                 shed: false,
             });
+            self.track_slo(id.0);
             id
         });
         let mut p = Process::new(pid, spu, job, program, None, at);
@@ -531,6 +544,7 @@ impl Kernel {
             deadline: Some(at + deadline),
             shed: false,
         });
+        self.track_slo(id.0);
         let mut p = Process::new(pid, spu, Some(id), program, None, at);
         p.pages = self.page_arena.alloc();
         p.state = ProcState::Blocked(BlockReason::Io); // not started yet
@@ -540,9 +554,9 @@ impl Kernel {
         pid
     }
 
-    /// Drives the simulation until every process exits or `cap` is
-    /// reached. Returns the collected metrics.
-    pub fn run(&mut self, cap: SimTime) -> RunMetrics {
+    /// Schedules the periodic daemons, the first sample and the fault
+    /// plan: everything [`run`](Self::run) sets up before its event loop.
+    pub(crate) fn start_run(&mut self) {
         let t = &self.cfg.tuning;
         self.events.schedule(self.now + t.tick, Event::Tick);
         self.events
@@ -558,6 +572,12 @@ impl Kernel {
                 self.events.schedule(e.at, Event::Fault(e.kind));
             }
         }
+    }
+
+    /// Drives the simulation until every process exits or `cap` is
+    /// reached. Returns the collected metrics.
+    pub fn run(&mut self, cap: SimTime) -> RunMetrics {
+        self.start_run();
         let mut completed = false;
         // Drain same-instant events in one batch per queue visit: swap-in
         // completions, wakes, and dispatches that land on the same tick
@@ -748,7 +768,11 @@ impl Kernel {
                     0.0
                 },
                 violation_frac: (jobs - met) as f64 / jobs as f64,
-                samples: self.slo_samples.get(idx).cloned().unwrap_or_default(),
+                samples: self
+                    .slo
+                    .get(idx)
+                    .map(|t| t.samples.clone())
+                    .unwrap_or_default(),
             });
         }
         SloReport { target, per_spu }

@@ -59,6 +59,8 @@ mod policy;
 pub mod process;
 pub mod program;
 pub mod sched;
+#[cfg(test)]
+mod slo_oracle;
 pub mod trace;
 pub mod vm;
 

@@ -9,6 +9,7 @@ use event_sim::{FaultKind, SimDuration, SimTime};
 use spu_core::{CpuPartition, LevelSnapshot, ResourceKind, ResourceManager, SpuId};
 
 use crate::kernel::Kernel;
+use crate::metrics::JobRecord;
 use crate::obsv::interference::SloSample;
 use crate::obsv::ResourceSample;
 use crate::process::{MicroOp, ProcState};
@@ -161,6 +162,93 @@ impl ResourceManager for DiskBwManager {
     }
 }
 
+/// One SPU's incremental SLO sampling state.
+///
+/// A sample counts the SPU's jobs that have started and were not shed:
+/// `completed` is how many finished, `violated` how many finished over
+/// the target plus how many are still running past it. A finished job's
+/// contribution can never change again, so each tick *settles* finished
+/// jobs into running totals and forgets them; a tick then visits only
+/// the jobs not yet settled that have started, O(unsettled jobs) rather
+/// than a rescan of every job for every SPU. Two facts make settling
+/// exact:
+///
+/// * `finished` is set once, when the job's root exits normally
+///   (`exit_process`, `cpu.rs`), and never cleared; a crashed root
+///   leaves it `None` for good, so such a job stays unsettled and keeps
+///   counting as in flight, as it would in a full scan.
+/// * `shed` is set only on a request refused before it ever ran
+///   (`mark_shed`, `admission.rs`), whose root then exits as crashed.
+///   A shed job therefore never finished, and dropping it for good when
+///   first seen shed loses nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SloTally {
+    /// Settled jobs that finished.
+    completed: u64,
+    /// Settled jobs that finished over the target.
+    violated: u64,
+    /// Jobs not yet settled, as indices into `Kernel::jobs`, in start
+    /// order, so a tick stops at the first job still in the future.
+    unsettled: Vec<u32>,
+    /// The cumulative samples so far.
+    pub(crate) samples: Vec<SloSample>,
+}
+
+impl SloTally {
+    /// Starts tracking job `idx` of `jobs`.
+    pub(crate) fn track(&mut self, jobs: &[JobRecord], idx: u32) {
+        let started = jobs[idx as usize].started;
+        let not_later = |&j: &u32| jobs[j as usize].started <= started;
+        // Jobs are mostly spawned in start order: then this is a push,
+        // and the search runs only for an earlier start.
+        let at = match self.unsettled.last() {
+            Some(last) if !not_later(last) => self.unsettled.partition_point(not_later),
+            _ => self.unsettled.len(),
+        };
+        self.unsettled.insert(at, idx);
+    }
+
+    /// Records the sample at `now`, settling every finished job and
+    /// dropping every shed one.
+    fn sample(&mut self, jobs: &[JobRecord], now: SimTime, target: SimDuration) {
+        let mut in_flight_violated = 0u64;
+        let mut kept = 0;
+        let mut seen = 0;
+        while let Some(&idx) = self.unsettled.get(seen) {
+            let j = &jobs[idx as usize];
+            if j.started > now {
+                break;
+            }
+            seen += 1;
+            if j.shed {
+                continue;
+            }
+            match j.finished {
+                Some(f) => {
+                    self.completed += 1;
+                    if f.saturating_since(j.started) > target {
+                        self.violated += 1;
+                    }
+                }
+                None => {
+                    // Still running past the target: already violated.
+                    if now.saturating_since(j.started) > target {
+                        in_flight_violated += 1;
+                    }
+                    self.unsettled[kept] = idx;
+                    kept += 1;
+                }
+            }
+        }
+        self.unsettled.drain(kept..seen);
+        self.samples.push(SloSample {
+            at: now,
+            completed: self.completed,
+            violated: self.violated + in_flight_violated,
+        });
+    }
+}
+
 impl Kernel {
     /// Runs every manager's audit hook over the kernel's books.
     /// Violations surface as the `audit.violations` counter, never as a
@@ -206,34 +294,8 @@ impl Kernel {
         // The SLO tracker piggybacks on the same cadence: cumulative
         // per-SPU completion/violation counts at every sampling instant.
         if let Some(target) = self.slo_target {
-            for (idx, spu) in self.spus.all_ids().enumerate() {
-                if idx >= self.slo_samples.len() {
-                    break;
-                }
-                let mut completed = 0u64;
-                let mut violated = 0u64;
-                for j in self
-                    .jobs
-                    .iter()
-                    .filter(|j| j.spu == spu && j.started <= now && !j.shed)
-                {
-                    match j.finished {
-                        Some(f) => {
-                            completed += 1;
-                            if f.saturating_since(j.started) > target {
-                                violated += 1;
-                            }
-                        }
-                        // Still running past the target: already violated.
-                        None if now.saturating_since(j.started) > target => violated += 1,
-                        None => {}
-                    }
-                }
-                self.slo_samples[idx].push(SloSample {
-                    at: now,
-                    completed,
-                    violated,
-                });
+            for tally in &mut self.slo {
+                tally.sample(&self.jobs, now, target);
             }
         }
     }

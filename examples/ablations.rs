@@ -14,16 +14,10 @@
 
 use perf_isolation::experiments::ablation::AblationScenario;
 use perf_isolation::experiments::sweep::{self, Render};
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("ablations", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
 
     println!("Running ablations ({scale:?} scale)...\n");
     let report = sweep::run_scenario(&AblationScenario::standard(scale), threads).report;

@@ -10,16 +10,10 @@
 use perf_isolation::experiments::cpu_iso::CpuIsoScenario;
 use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("cpu_isolation", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("{}", tables::figure4());
     println!("Running the CPU-isolation workload ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&CpuIsoScenario { scale }, threads).report;

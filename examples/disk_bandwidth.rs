@@ -11,16 +11,10 @@
 
 use perf_isolation::experiments::disk_bw::DiskBwScenario;
 use perf_isolation::experiments::sweep;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("disk_bandwidth", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("Running the disk-bandwidth workloads ({scale:?} scale)...\n");
     let report = sweep::run_scenario(&DiskBwScenario::both(scale), threads).report;
     println!(

@@ -22,16 +22,10 @@
 use perf_isolation::experiments::fault_isolation::{self, FaultIsolationScenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("fault_isolation", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("Running the fault matrix under SMP, Quo, and PIso ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&FaultIsolationScenario { scale }, threads).report;
     println!("{}", result.format());

@@ -16,16 +16,10 @@ use perf_isolation::experiments::mem_iso::{self, MemIsoScenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("memory_isolation", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("{}", tables::figure6());
     println!("Running the memory-isolation workload ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&MemIsoScenario { scale }, threads).report;

@@ -13,16 +13,10 @@
 
 use perf_isolation::experiments::net_bw::NetBwScenario;
 use perf_isolation::experiments::sweep;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("network_bandwidth", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("Running the network-bandwidth scenario ({scale:?} scale)...\n");
     let t = sweep::run_scenario(&NetBwScenario { scale }, threads).report;
     println!("{}", t.format());

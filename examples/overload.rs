@@ -27,32 +27,19 @@
 use perf_isolation::experiments::overload::{self, OverloadScenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
-use perf_isolation::experiments::Scale;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == name {
-            return iter.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let cpus: usize = flag_value(&args, "--cpus")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(overload::SEED_CPUS);
-    let threads = sweep::threads_from_args(&args);
+    let flags = [sweep::QUICK, sweep::THREADS, sweep::Flag::Count("--cpus")];
+    let cli = sweep::args_or_exit("overload", &flags);
+    let (scale, threads) = (cli.scale(), cli.threads());
+    let cpus = cli.count("--cpus").unwrap_or(overload::SEED_CPUS);
+    if cpus == 0 {
+        eprintln!(
+            "overload: --cpus must be at least 1\n{}",
+            sweep::usage("overload", &flags)
+        );
+        std::process::exit(2);
+    }
     println!(
         "Running the overload matrix: scheme x shed policy x load \
          ({scale:?} scale, {cpus} CPUs)...\n"

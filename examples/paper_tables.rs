@@ -24,17 +24,18 @@
 use std::time::Instant;
 
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOutput};
+use perf_isolation::experiments::sweep::{self, Flag, SweepOutput};
 use perf_isolation::Scale;
-
-const USAGE: &str = "usage: paper_tables [--quick] [--threads N] [--compare-threads N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("paper_tables: {e}\n{USAGE}");
+            eprintln!(
+                "paper_tables: {e}\n{}",
+                sweep::usage("paper_tables", &FLAGS)
+            );
             std::process::exit(2);
         }
     };
@@ -69,43 +70,28 @@ struct Opts {
     compare_threads: Option<usize>,
 }
 
-/// Parses the command line; every argument must be a known flag, and
-/// `--threads` / `--compare-threads` take a count either as the next
-/// argument or after `=`.
-fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        scale: Scale::Full,
-        threads: 1,
-        compare_threads: None,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value)),
-            None => (arg.as_str(), None),
-        };
-        let mut value = || {
-            inline
-                .or_else(|| iter.next().map(String::as_str))
-                .ok_or(format!("{flag} needs a value"))
-        };
-        match flag {
-            "--quick" if inline.is_none() => opts.scale = Scale::Quick,
-            "--threads" => opts.threads = count(flag, value()?)?,
-            "--compare-threads" => match count(flag, value()?)? {
-                0 => return Err(format!("{flag} must be at least 1")),
-                n => opts.compare_threads = Some(n),
-            },
-            _ => return Err(format!("unknown argument {arg:?}")),
-        }
-    }
-    Ok(opts)
-}
+/// The flags `paper_tables` takes: the standard pair plus
+/// `--compare-threads N`.
+const FLAGS: [Flag; 3] = [
+    sweep::QUICK,
+    sweep::THREADS,
+    Flag::Count("--compare-threads"),
+];
 
-fn count(flag: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects a count, not {value:?}"))
+/// Parses the command line with the shared example parser; every
+/// argument must be a known flag, and `--threads` / `--compare-threads`
+/// take a count either as the next argument or after `=`.
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let cli = sweep::parse_args(args, &FLAGS)?;
+    let compare_threads = cli.count("--compare-threads");
+    if compare_threads == Some(0) {
+        return Err("--compare-threads must be at least 1".to_string());
+    }
+    Ok(Opts {
+        scale: cli.scale(),
+        threads: cli.threads(),
+        compare_threads,
+    })
 }
 
 /// Runs every scenario serially and then with `threads` workers,

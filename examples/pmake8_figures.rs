@@ -21,16 +21,10 @@ use perf_isolation::experiments::pmake8::{self, Pmake8Scenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("pmake8_figures", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("{}", tables::figure1());
     println!("Running the Pmake8 workload under SMP, Quo, and PIso ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&Pmake8Scenario { scale }, threads).report;

@@ -93,8 +93,7 @@ impl Scenario for Quickstart {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = sweep::threads_from_args(&args);
+    let threads = sweep::args_or_exit("quickstart", &[sweep::THREADS]).threads();
 
     println!("Performance Isolation quickstart");
     println!("2 CPUs, 32 MB, two SPUs: a victim (1 job) and a hog (6 jobs)\n");

@@ -28,16 +28,10 @@
 use perf_isolation::experiments::consolidation::{self, ConsolidationScenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let threads = sweep::threads_from_args(&args);
+    let cli = sweep::args_or_exit("server_consolidation", &sweep::STANDARD);
+    let (scale, threads) = (cli.scale(), cli.threads());
     println!("Running the consolidation matrix: layout x load ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&ConsolidationScenario::seed(scale), threads).report;
     println!("{}", result.format());
